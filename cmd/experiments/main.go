@@ -30,7 +30,7 @@
 // parallel front-end rows (pipeline-{2,4}parser-{4,8}shard: N decode
 // workers feeding the sync sequencer and the sharded back-ends, from
 // encoded v2 bytes), the skewed-workload row (skewed-zipf-1M: a
-// Zipf-skewed stream through the rebalancing 4-shard pipeline) and the
+// Zipf-skewed stream through the statically routed 4-shard pipeline) and the
 // compaction row (compaction-quiet-1M, recording the live
 // escalated-vector count with sweeps disabled versus with the GC's
 // epoch re-compaction running). Every multicore row records the
@@ -651,6 +651,17 @@ func benchMonitor() error {
 	return writeBenchJSON(*monitorJSON, results)
 }
 
+// checkPipeline monitors stream through a cfg pipeline and fails unless
+// its report set equals the sequential monitor's.
+func checkPipeline(tb *monitor.Table, stream []monitor.Event, cfg monitor.PipelineConfig, want []race.Report) error {
+	p := monitor.NewPipeline(tb.Threads(), tb.Decls(), cfg)
+	p.StepBatch(stream)
+	if got := p.Finish(); !race.ReportsEqual(got, want) {
+		return fmt.Errorf("%d-shard pipeline reported %d races, sequential %d (sets differ)", cfg.Shards, len(got), len(want))
+	}
+	return nil
+}
+
 // benchMonitorResults runs the monitor benches and returns the rows —
 // shared by bench-monitor (which writes them to the JSON baseline) and
 // bench-compare (which diffs them against it without writing).
@@ -756,9 +767,9 @@ func benchMonitorResults() ([]benchResult, error) {
 	}); err != nil {
 		return nil, err
 	}
+	want := mon.Reports()
 	if err := timeIt("monitor/sharded4-bursty-1M", &results, func() error {
-		_, err := monitor.ShardedRaces(tb.Threads(), tb.Decls(), stream, 4, 0)
-		return err
+		return checkPipeline(tb, stream, monitor.PipelineConfig{Shards: 4}, want)
 	}); err != nil {
 		return nil, err
 	}
@@ -773,11 +784,7 @@ func benchMonitorResults() ([]benchResult, error) {
 		procs := shards + 1
 		runtime.GOMAXPROCS(procs)
 		err := timeIt(fmt.Sprintf("monitor/pipeline-%dshard-bursty-1M", shards), &results, func() error {
-			got := monitor.PipelineRaces(tb.Threads(), tb.Decls(), stream, monitor.PipelineConfig{Shards: shards})
-			if len(got) != mon.RaceCount() {
-				return fmt.Errorf("pipeline reported %d races, sequential %d", len(got), mon.RaceCount())
-			}
-			return nil
+			return checkPipeline(tb, stream, monitor.PipelineConfig{Shards: shards}, want)
 		})
 		runtime.GOMAXPROCS(prevProcs)
 		if err != nil {
@@ -832,8 +839,8 @@ func benchMonitorResults() ([]benchResult, error) {
 			if err != nil {
 				return err
 			}
-			if len(got) != mon.RaceCount() {
-				return fmt.Errorf("parallel front-end reported %d races, sequential %d", len(got), mon.RaceCount())
+			if !race.ReportsEqual(got, want) {
+				return fmt.Errorf("parallel front-end reported %d races, sequential %d (sets differ)", len(got), len(want))
 			}
 			return nil
 		})
@@ -844,8 +851,7 @@ func benchMonitorResults() ([]benchResult, error) {
 		results[len(results)-1].GoMaxProcs = procs
 	}
 	// Skewed workload: a Zipf-skewed stream (hot nonatomic locations)
-	// through the rebalancing 4-shard pipeline — the row the
-	// skew-adaptive router exists for.
+	// through the 4-shard pipeline's static loc-mod-shards routing.
 	skewOpt := opt
 	skewOpt.LocSkew = 1.3
 	skewStream, _, err := schedgen.Generate(p, tb, skewOpt, nil)
@@ -855,13 +861,9 @@ func benchMonitorResults() ([]benchResult, error) {
 	seqSkew := tb.NewMonitor()
 	seqSkew.StepBatch(skewStream)
 	runtime.GOMAXPROCS(5)
+	wantSkew := seqSkew.Reports()
 	err = timeIt("monitor/skewed-zipf-1M", &results, func() error {
-		got := monitor.PipelineRaces(tb.Threads(), tb.Decls(), skewStream,
-			monitor.PipelineConfig{Shards: 4, Rebalance: true})
-		if len(got) != seqSkew.RaceCount() {
-			return fmt.Errorf("rebalancing pipeline reported %d races, sequential %d", len(got), seqSkew.RaceCount())
-		}
-		return nil
+		return checkPipeline(tb, skewStream, monitor.PipelineConfig{Shards: 4}, wantSkew)
 	})
 	runtime.GOMAXPROCS(prevProcs)
 	if err != nil {

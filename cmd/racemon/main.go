@@ -9,7 +9,7 @@
 //	racemon [-events N] [-threads K] [-policy fair|unfair|bursty]
 //	        [-seed S] [-shards M] [-locs L] [-atomics A] [-ra R]
 //	        [-stale PCT] [-skew S] [-halts] [-json] [-pipeline] [-stream]
-//	        [-rebalance] [-predicate hb|syncp|short:k] [-trace FILE|-]
+//	        [-predicate hb|syncp|short:k] [-trace FILE|-]
 //	        [-parsers N] [-emit FILE] [-format binary|text] [-wire 1|2]
 //	        [-golden FILE] [-update-golden] [-checkpoint FILE]
 //	        [-checkpoint-at N] [-resume FILE] [-stats-addr ADDR]
@@ -61,10 +61,8 @@
 //
 // -skew S redirects each generated nonatomic access to a location drawn
 // from a Zipf distribution with exponent S (0 = uniform, the default) —
-// hot-location workloads for the sharded pipeline. -rebalance enables
-// the pipeline's skew-adaptive router, which migrates hot locations
-// between race back-ends at GC barriers (reports stay identical; only
-// the load split changes). -parsers N decodes a -trace's v2 frames on N
+// hot-location workloads for the sharded pipeline. -parsers N decodes a
+// -trace's v2 frames on N
 // parallel workers feeding the ordering sequencer; it falls back to the
 // sequential decoder for v1/text traces and for runs that checkpoint or
 // resume (the reader continuation is a sequential-decoder construct).
@@ -129,7 +127,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"slices"
 	"time"
 
 	"localdrf/internal/monitor"
@@ -156,9 +153,7 @@ type result struct {
 	MonitorNs    int64   `json:"monitor_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	RaceCount    int     `json:"race_count"`
-	// The RA retention stats are omitted when no single monitor produced
-	// them (sharded runs keep their monitors internal) or when they are
-	// genuinely zero.
+	// The RA retention stats are omitted when zero.
 	RALive      int    `json:"ra_live,omitempty"`
 	RALivePeak  int    `json:"ra_live_peak,omitempty"`
 	RACollected uint64 `json:"ra_collected,omitempty"`
@@ -166,9 +161,7 @@ type result struct {
 	// predicate ("syncp", "short:k"); omitted for the default hb so
 	// existing consumers and goldens see unchanged JSON. The window
 	// fields are the short:k candidate-window telemetry (peak is the
-	// bounded-memory claim, measured); present only when a single
-	// front-end owns the window (the batch-sharded wrapper keeps its
-	// pipeline internal).
+	// bounded-memory claim, measured).
 	Predicate    string `json:"predicate,omitempty"`
 	WindowK      int    `json:"window_k,omitempty"`
 	WindowLive   int    `json:"window_live,omitempty"`
@@ -183,8 +176,7 @@ type result struct {
 	Locations       locationsJSON `json:"locations"`
 	// Stats is the final telemetry snapshot of the run's obs registries
 	// (monitor.*, pipeline.*, parse.* — see internal/monitor's metric
-	// catalogue). Absent in modes with no accessible sink (emit, the
-	// batch-sharded wrapper).
+	// catalogue). Absent under -emit, which does not monitor.
 	Stats *obs.Snapshot `json:"stats,omitempty"`
 }
 
@@ -226,7 +218,6 @@ func main() {
 	ra := flag.Int("ra", 8, "release-acquire location count")
 	stale := flag.Int("stale", 10, "percent of reads returning stale values")
 	skew := flag.Float64("skew", 0, "Zipf exponent skewing generated nonatomic accesses toward hot locations (0 = uniform)")
-	rebalance := flag.Bool("rebalance", false, "migrate hot locations between pipeline back-ends at GC barriers (sharded modes)")
 	predicateS := flag.String("predicate", "hb", "race predicate: hb (observed-trace happens-before), syncp (sync-preserving predictable races) or short:k (syncp within k events)")
 	staticPrefilter := flag.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")
 	privateLocs := flag.Int("private-locs", 0, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
@@ -371,16 +362,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "racemon: "+warn)
 		}
 		if par {
-			res, reports = runTraceParallel(*traceFile, *shards, *parsers, *rebalance, spec)
+			res, reports = runTraceParallel(*traceFile, *shards, *parsers, spec)
 		} else {
-			res, reports = runTrace(*traceFile, *shards, *resumeFile, ck, *rebalance, spec)
+			res, reports = runTrace(*traceFile, *shards, *resumeFile, ck, spec)
 		}
 	case *emitFile != "":
 		res = runEmit(*emitFile, format, gp)
 	case *pipeline:
-		res, reports = runPipeline(gp, *shards, *rebalance, ck, spec)
+		res, reports = runPipeline(gp, *shards, ck, spec)
 	default:
-		res, reports = runGenerated(gp, *shards, *stream, *rebalance, ck, spec)
+		res, reports = runGenerated(gp, *shards, *stream, ck, spec)
 	}
 	if stopProgress != nil {
 		close(stopProgress)
@@ -432,13 +423,8 @@ func main() {
 	}
 	fmt.Fprintf(out, "monitor   %8.1f ms  (%.1fM events/sec, %d shard(s), mode=%s)\n",
 		float64(res.MonitorNs)/1e6, res.EventsPerSec/1e6, res.Shards, res.Mode)
-	if res.Shards == 1 || res.Mode == "pipeline" {
-		// The pipeline's sync front-end owns the RA window, so its stats
-		// are visible at any shard count; the batch-sharded wrapper keeps
-		// its pipeline internal.
-		fmt.Fprintf(out, "ra msgs   live=%d peak=%d collected=%d (windowed GC)\n",
-			res.RALive, res.RALivePeak, res.RACollected)
-	}
+	fmt.Fprintf(out, "ra msgs   live=%d peak=%d collected=%d (windowed GC)\n",
+		res.RALive, res.RALivePeak, res.RACollected)
 	if res.Predicate != "" {
 		fmt.Fprintf(out, "predict   predicate=%s", res.Predicate)
 		if res.WindowK > 0 {
@@ -543,7 +529,7 @@ func writeSnapshot(path string, snap func(io.Writer) error) {
 // runPipeline is the fused parallel mode: schedgen batches feed the
 // two-stage pipeline directly — one sync front-end pass, shards race
 // back-ends, no materialised schedule.
-func runPipeline(gp genParams, shards int, rebalance bool, ck ckParams, spec predict.Spec) (result, []race.Report) {
+func runPipeline(gp genParams, shards int, ck ckParams, spec predict.Spec) (result, []race.Report) {
 	tb, name := gp.program()
 	res := result{
 		Program: name, Mode: "pipeline", Threads: tb.Threads(), Policy: gp.policy.String(),
@@ -551,7 +537,7 @@ func runPipeline(gp genParams, shards int, rebalance bool, ck ckParams, spec pre
 		Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
 	}
 	pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-		Shards: shards, Rebalance: rebalance, StaticFilter: gp.staticMask(tb, &res),
+		Shards: shards, StaticFilter: gp.staticMask(tb, &res),
 		Predicate: spec.Pred, WindowK: spec.K,
 	})
 	tel.attach(pl.Obs())
@@ -575,23 +561,14 @@ func runPipeline(gp genParams, shards int, rebalance bool, ck ckParams, spec pre
 	if ck.file != "" {
 		writeSnapshot(ck.file, pl.Snapshot)
 	}
-	reports := pl.Finish()
-	res.MonitorNs = time.Since(start).Nanoseconds()
 	res.Completed = completed
-	res.Events = int(pl.Events())
-	st := pl.RAStats()
-	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
-	res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
-	res.RaceCount = pl.RaceCount()
-	fillPredict(&res, pl.Predicate(), pl.WindowK(), pl.WindowStats())
-	stats := pl.Stats()
-	res.Stats = &stats
-	return res, reports
+	return res, finish(&res, pl, start)
 }
 
-// runGenerated is the in-process generation path: the batch (and
-// optionally sharded) mode, or -stream's single fused pass.
-func runGenerated(gp genParams, shards int, stream, rebalance bool, ck ckParams, spec predict.Spec) (result, []race.Report) {
+// runGenerated is the in-process generation path: the batch mode (a
+// sequential monitor, or the pipeline when shards > 1), or -stream's
+// single fused pass.
+func runGenerated(gp genParams, shards int, stream bool, ck ckParams, spec predict.Spec) (result, []race.Report) {
 	tb, name := gp.program()
 	opt := gp.options()
 	res := result{
@@ -623,14 +600,8 @@ func runGenerated(gp genParams, shards int, stream, rebalance bool, ck ckParams,
 		if ck.file != "" {
 			writeSnapshot(ck.file, m.Snapshot)
 		}
-		res.MonitorNs = time.Since(start).Nanoseconds()
 		res.Completed = completed
-		res.Events = int(m.Events())
-		fill(&res, m)
-		fillPredict(&res, m.Predicate(), m.WindowK(), m.WindowStats())
-		stats := m.Stats()
-		res.Stats = &stats
-		return res, m.Reports()
+		return res, finish(&res, m, start)
 	}
 
 	res.Mode = "batch"
@@ -641,78 +612,20 @@ func runGenerated(gp genParams, shards int, stream, rebalance bool, ck ckParams,
 	}
 	res.GenNs = time.Since(genStart).Nanoseconds()
 	res.Completed = completed
-	res.Events = len(streamEv)
 
-	monStart := time.Now()
-	var reports []race.Report
-	if shards == 1 {
-		// Run the monitor directly so the RA retention stats are visible.
-		m := monitor.New(tb.Threads(), tb.Decls())
-		spec.Apply(m)
-		m.SetStaticFilter(mask)
-		tel.attach(m.Obs())
-		for _, e := range streamEv {
-			m.Step(e)
-		}
-		reports = m.Reports()
-		fill(&res, m)
-		fillPredict(&res, m.Predicate(), m.WindowK(), m.WindowStats())
-		stats := m.Stats()
-		res.Stats = &stats
-	} else {
-		reports, err = monitor.ShardedRacesConfig(tb.Threads(), tb.Decls(), streamEv, shards, 0,
-			monitor.PipelineConfig{Rebalance: rebalance, StaticFilter: mask,
-				Predicate: spec.Pred, WindowK: spec.K})
-		if err != nil {
-			fatalf("monitor: %v", err)
-		}
-		// The wrapper keeps its pipeline internal, so only the predicate
-		// itself (not the window telemetry) is reportable.
-		fillPredict(&res, spec.Pred, spec.K, monitor.WindowStats{})
-	}
-	res.MonitorNs = time.Since(monStart).Nanoseconds()
-	res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
-	res.RaceCount = len(reports)
-	return res, reports
-}
-
-// traceSink abstracts the two ingestion targets of runTrace — a
-// sequential monitor or a cfg.Shards pipeline — behind the operations
-// the feeding loop needs. Everything but reports is promoted from the
-// embedded monitor/pipeline, which share the method set.
-type traceSink interface {
-	Step(monitor.Event)
-	StepBatch([]monitor.Event)
-	Events() uint64
-	RAStats() monitor.RAStats
-	Predicate() monitor.Predicate
-	WindowK() int
-	WindowStats() monitor.WindowStats
-	Snapshot(io.Writer) error
-	SnapshotWithReader(io.Writer, monitor.ReaderCheckpoint) error
-	Obs() *obs.Registry
-	Stats() obs.Snapshot
-	reports() []race.Report
-}
-
-type monitorSink struct{ *monitor.Monitor }
-
-func (s monitorSink) reports() []race.Report { return s.Reports() }
-
-type pipelineSink struct{ *monitor.Pipeline }
-
-func (s pipelineSink) reports() []race.Report { return s.Finish() }
-
-// headerEqual reports whether a snapshot was taken over the same
-// program shape as the trace being resumed.
-func headerEqual(a, b monitor.Header) bool {
-	return a.Threads == b.Threads && slices.Equal(a.Decls, b.Decls)
+	start := time.Now()
+	sk := monitor.NewSink(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
+		Shards: shards, StaticFilter: mask, Predicate: spec.Pred, WindowK: spec.K,
+	})
+	tel.attach(sk.Obs())
+	sk.StepBatch(streamEv)
+	return res, finish(&res, sk, start)
 }
 
 // runTrace ingests a wire-format trace from a file or stdin — through a
 // sequential monitor, or a parallel pipeline when shards > 1 —
 // optionally resuming from a snapshot and/or checkpointing mid-ingest.
-func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance bool, spec predict.Spec) (result, []race.Report) {
+func runTrace(path string, shards int, resumePath string, ck ckParams, spec predict.Spec) (result, []race.Report) {
 	var rd io.Reader = os.Stdin
 	name := "stdin"
 	if path != "-" {
@@ -745,7 +658,7 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 		if err != nil {
 			fatalf("resume: %v", err)
 		}
-		if !headerEqual(snap.Header(), hdr) {
+		if !snap.Header().Equal(hdr) {
 			fatalf("resume: snapshot was taken over a different program shape than %s", name)
 		}
 		if rck, ok := snap.Reader(); ok {
@@ -757,31 +670,16 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 			fmt.Fprintln(os.Stderr, "racemon: resume: the snapshotted run had a static prefilter active; the mask is not recorded, so monitoring continues unfiltered from here")
 		}
 	}
-	var sink traceSink
-	if shards > 1 {
-		cfg := monitor.PipelineConfig{Shards: shards, Rebalance: rebalance,
-			Predicate: spec.Pred, WindowK: spec.K}
-		var pl *monitor.Pipeline
-		if snap != nil {
-			// The snapshot's predicate is authoritative; cfg's is ignored.
-			pl = snap.Pipeline(cfg)
-			if warn := predicateOverrideWarning(spec, pl.Predicate(), pl.WindowK()); warn != "" {
-				fmt.Fprintln(os.Stderr, "racemon: "+warn)
-			}
-		} else {
-			pl = monitor.NewPipeline(hdr.Threads, hdr.Decls, cfg)
-		}
-		sink = pipelineSink{pl}
-	} else if snap != nil {
-		m := snap.Monitor()
-		if warn := predicateOverrideWarning(spec, m.Predicate(), m.WindowK()); warn != "" {
+	cfg := monitor.PipelineConfig{Shards: shards, Predicate: spec.Pred, WindowK: spec.K}
+	var sink monitor.Sink
+	if snap != nil {
+		// The snapshot's predicate is authoritative; cfg's is ignored.
+		sink = snap.Sink(cfg)
+		if warn := predicateOverrideWarning(spec, sink.Predicate(), sink.WindowK()); warn != "" {
 			fmt.Fprintln(os.Stderr, "racemon: "+warn)
 		}
-		sink = monitorSink{m}
 	} else {
-		m := tr.NewMonitor()
-		spec.Apply(m)
-		sink = monitorSink{m}
+		sink = monitor.NewSink(hdr.Threads, hdr.Decls, cfg)
 	}
 	tel.attach(sink.Obs())
 	if snap != nil {
@@ -862,19 +760,12 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, rebalance
 		})
 	}
 
-	reports := sink.reports()
 	res := result{
 		Program: "trace:" + name, Mode: "trace", Threads: hdr.Threads,
 		Completed: completed, Shards: shards,
-		MonitorNs: time.Since(start).Nanoseconds(),
-		Events:    int(sink.Events()),
 	}
 	fillLocations(&res, hdr.Decls)
-	fillStats(&res, sink.RAStats(), len(reports))
-	fillPredict(&res, sink.Predicate(), sink.WindowK(), sink.WindowStats())
-	stats := sink.Stats()
-	res.Stats = &stats
-	return res, reports
+	return res, finish(&res, sink, start)
 }
 
 // predicateOverrideWarning: a checkpoint records its monitor's
@@ -944,7 +835,7 @@ func staticFilterDecision(prefilter bool, traceFile, emitFile, resumeFile string
 // front-end: parsers decode workers feed the ordering sequencer, which
 // feeds a sequential monitor (shards == 1) or the sharded pipeline. v1
 // and text traces fall back to sequential decoding inside the reader.
-func runTraceParallel(path string, shards, parsers int, rebalance bool, spec predict.Spec) (result, []race.Report) {
+func runTraceParallel(path string, shards, parsers int, spec predict.Spec) (result, []race.Report) {
 	var rd io.Reader = os.Stdin
 	name := "stdin"
 	if path != "-" {
@@ -967,42 +858,20 @@ func runTraceParallel(path string, shards, parsers int, rebalance bool, spec pre
 	defer pr.Close()
 	tel.attach(preg)
 	hdr := pr.Header()
-	var reports []race.Report
-	var st monitor.RAStats
-	var ws monitor.WindowStats
-	var events uint64
-	var stats obs.Snapshot
-	if shards > 1 {
-		pl := monitor.NewPipeline(hdr.Threads, hdr.Decls, monitor.PipelineConfig{
-			Shards: shards, Rebalance: rebalance, Predicate: spec.Pred, WindowK: spec.K})
-		tel.attach(pl.Obs())
-		if err := pl.FeedBatch(pr); err != nil {
-			pl.Abort()
-			fatalf("trace: %v", err)
-		}
-		reports = pl.Finish()
-		st, events, ws = pl.RAStats(), pl.Events(), pl.WindowStats()
-		stats = obs.Merge(pl.Stats(), preg.Snapshot())
-	} else {
-		m := pr.NewMonitor()
-		spec.Apply(m)
-		tel.attach(m.Obs())
-		if err := m.FeedBatch(pr); err != nil {
-			fatalf("trace: %v", err)
-		}
-		reports = m.Reports()
-		st, events, ws = m.RAStats(), m.Events(), m.WindowStats()
-		stats = obs.Merge(m.Stats(), preg.Snapshot())
+	sink := monitor.NewSink(hdr.Threads, hdr.Decls, monitor.PipelineConfig{
+		Shards: shards, Predicate: spec.Pred, WindowK: spec.K})
+	tel.attach(sink.Obs())
+	if err := sink.FeedBatch(pr); err != nil {
+		sink.Abort()
+		fatalf("trace: %v", err)
 	}
 	res := result{
 		Program: "trace:" + name, Mode: "trace", Threads: hdr.Threads,
 		Completed: true, Shards: shards, Parsers: parsers,
-		MonitorNs: time.Since(start).Nanoseconds(),
-		Events:    int(events),
 	}
 	fillLocations(&res, hdr.Decls)
-	fillStats(&res, st, len(reports))
-	fillPredict(&res, spec.Pred, spec.K, ws)
+	reports := finish(&res, sink, start)
+	stats := obs.Merge(*res.Stats, preg.Snapshot())
 	res.Stats = &stats
 	return res, reports
 }
@@ -1050,19 +919,24 @@ func runEmit(path string, format monitor.Format, gp genParams) result {
 	}
 }
 
-// fill copies per-monitor telemetry into the summary.
-func fill(res *result, m *monitor.Monitor) {
-	fillStats(res, m.RAStats(), m.RaceCount())
-}
-
-// fillStats copies retention telemetry and derived throughput into the
-// summary.
-func fillStats(res *result, st monitor.RAStats, races int) {
-	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
+// finish drains the sink and copies its results into the summary: event
+// count, monitoring time since start and throughput, RA retention, the
+// decided predicate and the final telemetry snapshot — the same fields
+// in every monitoring mode.
+func finish(res *result, sink monitor.Sink, start time.Time) []race.Report {
+	reports := sink.Finish()
+	res.MonitorNs = time.Since(start).Nanoseconds()
+	res.Events = int(sink.Events())
 	if res.MonitorNs > 0 {
 		res.EventsPerSec = float64(res.Events) / (float64(res.MonitorNs) / 1e9)
 	}
-	res.RaceCount = races
+	st := sink.RAStats()
+	res.RALive, res.RALivePeak, res.RACollected = st.Live, st.Peak, st.Collected
+	res.RaceCount = len(reports)
+	fillPredict(res, sink.Predicate(), sink.WindowK(), sink.WindowStats())
+	stats := sink.Stats()
+	res.Stats = &stats
+	return reports
 }
 
 // fillPredict records the decided predicate and, under short:k, the

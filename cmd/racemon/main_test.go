@@ -205,3 +205,23 @@ func TestPredicateResumeCLI(t *testing.T) {
 		t.Fatalf("no override warning on stderr:\n%s", stderr.String())
 	}
 }
+
+// TestShardedBatchSummaryCLI: the batch mode with -shards > 1 drives the
+// pipeline itself, so its -json summary carries what every other mode
+// reports — the short:k window telemetry, RA retention and the final
+// "stats" snapshot with the pipeline.* metrics.
+func TestShardedBatchSummaryCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	out, err := exec.Command(bin, "-shards", "4", "-events", "20000", "-predicate", "short:64", "-json").Output()
+	if err != nil {
+		t.Fatalf("racemon -shards 4 -predicate short:64 -json: %v", err)
+	}
+	for _, want := range []string{`"mode": "batch"`, `"window_peak"`, `"ra_live_peak"`, `"stats"`, `"pipeline.backend_records"`} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("summary lacks %s:\n%s", want, out)
+		}
+	}
+}

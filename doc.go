@@ -105,27 +105,15 @@
 // ordered stream once — all clock joins, RA message retention and
 // windowed GC — and routes each nonatomic access, plus a compact
 // clock-delta side channel, to the race back-end owning its location
-// (initially loc mod shards). Records travel in batches over bounded
+// (loc mod shards). Records travel in batches over bounded
 // SPSC rings (engine.BatchQueue), so total work is O(events) +
 // O(events/shards × check cost) per back-end instead of O(shards ×
 // events), and the merged report set is byte-identical to the
 // sequential monitor at any parser count, shard count, batch size and
-// GC interval (monitor.Pipeline, monitor.ShardedRaces,
-// monitor.ReadRacesParallel).
-//
-// The static loc-mod-shards split degenerates under skewed traffic —
-// real streams are Zipf-like, and one back-end can receive nearly every
-// record. With PipelineConfig.Rebalance the front-end counts per-location
-// traffic and, at GC-sweep barriers, migrates hot locations from the
-// most- to the least-loaded back-end. The migration protocol is
-// correct by construction: the rings are quiesced (a nil-batch barrier
-// acknowledged by every back-end, so nothing is in flight), the
-// location's epoch-or-vector state moves wholesale between the two
-// checkers, and the router remaps before feeding resumes — the same
-// checking code then sees the same state at the same stream positions,
-// so reports, retention statistics and snapshots are unchanged at every
-// configuration. Traffic counters are halved each sweep so the router
-// tracks the recent window, and migrations are capped per sweep.
+// GC interval (monitor.Pipeline, monitor.ReadRacesParallel).
+// monitor.Sink is the method set the sequential Monitor and the
+// Pipeline share; racemon and racemond drive either through it
+// (monitor.NewSink picks the Monitor at one shard).
 //
 // The same GC-sweep barrier also drives escalation compaction: a
 // nonatomic location whose last-access record escalated to a per-thread
@@ -166,10 +154,10 @@
 // malformed input — fuzzed, like the trace decoder. The metamorphic
 // split-resume harness in internal/modeltest proves parity at every
 // grid split point of all 210 schedgen streams (every tenth seed
-// Zipf-skewed) across the {1,2,4,8}-shard × rebalance on/off × {GC-16,
-// default, adaptive} matrix, including double splits, cross-config
-// resumes, and snapshots taken at rebalance barriers — which are
-// byte-identical to the sequential monitor's despite live migrations.
+// Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default, adaptive}
+// matrix, including double splits, cross-config resumes, and
+// checkpoints taken by pipelines, which are byte-identical to the
+// sequential monitor's.
 //
 // # Static analysis
 //
@@ -227,9 +215,9 @@
 // productivity, RA retention, escalations/demotions, snapshot codec
 // sizes and latencies), the pipeline (routed/delta/min records, the
 // batch-size histogram, quiesce latency, ring occupancy and stall/idle
-// counts, per-back-end record/escalation/race vectors, migrations,
-// load imbalance) and the parallel decoder (per-worker frames/bytes,
-// sequencer wait) — see internal/monitor's obs.go for the full list.
+// counts, per-back-end record/escalation/race vectors) and the
+// parallel decoder (per-worker frames/bytes, sequencer wait) — see
+// internal/monitor's obs.go for the full list.
 // Instrumentation is proven free: the modeltest matrix includes a
 // pipeline hammered by concurrent snapshot reads whose reports,
 // RAStats and checkpoint bytes must equal the sequential monitor's,
@@ -278,7 +266,7 @@
 // exhaustive oracle race.Races on every corpus program, on hundreds of
 // random programs, and on hundreds of generated schedules — at every GC
 // interval (fixed and adaptive) and across the full pipeline
-// (shards × batch × GC × rebalance) matrix, with the parallel
+// (shards × batch × GC) matrix, with the parallel
 // wire-format reader round-tripping at {1,2,4} parsers; cmd/racemon
 // exposes the checkpoint workflow as -checkpoint FILE [-checkpoint-at
 // N] and -resume FILE.
@@ -288,8 +276,8 @@
 // of the above; EXPERIMENTS.md records paper-versus-measured results for
 // every table and figure. cmd/racemon generates a million-event schedule
 // (optionally Zipf-skewed: -skew S) and monitors it materialised or
-// fused through the parallel pipeline (-pipeline -shards N
-// [-rebalance]), on a single sequential monitor (-stream), and
+// fused through the parallel pipeline (-pipeline -shards N), on a
+// single sequential monitor (-stream), and
 // writes/ingests raw traces (-emit FILE [-wire 1|2], -trace FILE|-,
 // decoded by -parsers N workers); its JSON reports the windowed GC's
 // live, peak and collected RA-message counts. cmd/experiments -run

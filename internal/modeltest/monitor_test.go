@@ -92,13 +92,11 @@ func TestMonitorMatchesRacesOnRandom(t *testing.T) {
 // with stale reads, compared against the oracle on the synthesised
 // transitions. Every tenth seed generates under a Zipf location skew
 // (LocSkew 1.3), so ~20 of the streams concentrate their nonatomic
-// traffic on a few hot locations — the regime the rebalancing router
-// exists for. Every stream is checked twice — once with the default
-// monitor and once with an aggressive GC interval, so the windowed RA
-// collection and epoch handoffs are exercised on every stream and proved
-// report-preserving — and the pipeline matrix runs with the
-// skew-adaptive router both off and on. (Short streams: the oracle's
-// transitive closure is cubic.)
+// traffic on a few hot locations. Every stream is checked twice — once
+// with the default monitor and once with an aggressive GC interval, so
+// the windowed RA collection and epoch handoffs are exercised on every
+// stream and proved report-preserving — and through the pipeline
+// matrix. (Short streams: the oracle's transitive closure is cubic.)
 func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive cross-validation skipped in -short mode")
@@ -158,14 +156,13 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			for _, shards := range []int{1, 2, 3, 4, 8} {
 				for _, batch := range []int{1, 64, 4096} {
 					for _, gc := range []uint64{16, 0} {
-						for _, reb := range []bool{false, true} {
-							got := monitor.PipelineRaces(tb.Threads(), tb.Decls(), events, monitor.PipelineConfig{
-								Shards: shards, BatchSize: batch, GCInterval: gc, Rebalance: reb,
-							})
-							if !race.ReportsEqual(got, want) {
-								t.Fatalf("seed %d %v shards=%d batch=%d gc=%d rebalance=%v: pipeline diverged",
-									seed, pol, shards, batch, gc, reb)
-							}
+						pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
+							Shards: shards, BatchSize: batch, GCInterval: gc,
+						})
+						pl.StepBatch(events)
+						if got := pl.Finish(); !race.ReportsEqual(got, want) {
+							t.Fatalf("seed %d %v shards=%d batch=%d gc=%d: pipeline diverged",
+								seed, pol, shards, batch, gc)
 						}
 					}
 				}
@@ -173,15 +170,14 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			if seed >= 8 {
 				continue
 			}
-			// For a subset: the sharded entry point, halt-carrying
-			// streams, and the wire-format round trips (v1 and v2).
-			for _, shards := range []int{2, 3} {
-				sharded, err := monitor.ShardedRaces(tb.Threads(), tb.Decls(), events, shards, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !race.ReportsEqual(sharded, want) {
-					t.Fatalf("seed %d %v shards=%d: sharded mode diverged", seed, pol, shards)
+			// For a subset: shard counts above the declaration count (most
+			// back-ends own no location), halt-carrying streams, and the
+			// wire-format round trips (v1 and v2).
+			for _, shards := range []int{2, 3, 8, 64} {
+				pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{Shards: shards})
+				pl.StepBatch(events)
+				if got := pl.Finish(); !race.ReportsEqual(got, want) {
+					t.Fatalf("seed %d %v shards=%d: sharded pipeline diverged", seed, pol, shards)
 				}
 			}
 			// Telemetry must be free: a pipeline serving concurrent
@@ -191,7 +187,7 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			// sequential monitor at the same GC interval.
 			{
 				pm := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-					Shards: 2, BatchSize: 64, GCInterval: 16, Rebalance: true,
+					Shards: 2, BatchSize: 64, GCInterval: 16,
 				})
 				stop := make(chan struct{})
 				var wg sync.WaitGroup
@@ -269,11 +265,11 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 					continue
 				}
 				// The parallel front-end must round-trip the same trace
-				// through a rebalancing pipeline at every parser count
+				// through a sharded pipeline at every parser count
 				// (parsers=1 is the sequential-fallback regression).
 				for _, parsers := range []int{1, 2, 4} {
 					preports, _, err := monitor.ReadRacesParallel(bytes.NewReader(data), parsers,
-						monitor.PipelineConfig{Shards: 2, Rebalance: true})
+						monitor.PipelineConfig{Shards: 2})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -284,5 +280,5 @@ func TestMonitorMatchesRacesOnSchedules(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("monitor == race.Races on %d schedgen streams (windowed/adaptive GC + pipeline matrix ± rebalance, ~1/10 Zipf-skewed)", streams)
+	t.Logf("monitor == race.Races on %d schedgen streams (windowed/adaptive GC + pipeline matrix, ~1/10 Zipf-skewed)", streams)
 }

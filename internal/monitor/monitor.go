@@ -390,7 +390,7 @@ func (ck *checker) demote(v []uint64) (int32, uint64, bool) {
 // Monitor is the streaming race detector. Create one with New, feed it
 // events in trace order with Step (or Feed/FeedBatch, from a Source),
 // and collect the deduplicated reports with Reports. A Monitor is not
-// safe for concurrent use; the parallel mode (Pipeline, ShardedRaces)
+// safe for concurrent use; the parallel mode (Pipeline)
 // splits the work between a synchronisation front-end and per-location
 // race back-ends instead.
 type Monitor struct {

@@ -206,22 +206,18 @@ func TestDifferentialOnLitmusTraces(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesUnsharded: the sharded parallel mode returns exactly
-// the single-pass report set at any shard count.
+// TestShardedMatchesUnsharded: the sharded pipeline returns exactly the
+// sequential monitor's report set at any shard count.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	decls, events := syntheticWorkload(6, 24, 30_000, 31)
-	want, err := ShardedRaces(6, decls, events, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := New(6, decls)
+	ref.StepBatch(events)
+	want := ref.Reports()
 	if len(want) == 0 {
 		t.Fatal("synthetic workload produced no races; not a useful fixture")
 	}
 	for _, shards := range []int{2, 3, 4, 8} {
-		got, err := ShardedRaces(6, decls, events, shards, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := pipelineReports(6, decls, events, PipelineConfig{Shards: shards})
 		if !eq(got, want) {
 			t.Fatalf("shards=%d: got %d reports, want %d\ngot  %v\nwant %v",
 				shards, len(got), len(want), got, want)
@@ -268,13 +264,13 @@ func syntheticWorkload(nthreads, nlocs, n int, seed uint64) ([]LocDecl, []Event)
 	return decls, events
 }
 
-// TestShardedClampAndSkip: shard counts larger than the nonatomic
-// location count are clamped, and shards owning no nonatomic location
-// are skipped — in both cases the report set is identical to the
-// unsharded pass.
-func TestShardedClampAndSkip(t *testing.T) {
-	// Only two NA locations, both ≡ 0 (mod 2): after clamping 8 → 2
-	// shards, shard 1 owns nothing and must be skipped, not replayed.
+// TestPipelineEmptyBackends: back-ends that own no nonatomic location —
+// every odd shard at 2 shards, and most of them at shard counts above
+// the declaration count — still consume the clock-delta channel and
+// leave the report set identical to the sequential pass.
+func TestPipelineEmptyBackends(t *testing.T) {
+	// Only two NA locations, both ≡ 0 (mod 2): at 2 shards, back-end 1
+	// owns nothing; at 8 and 64, back-ends 4 and up own no declaration.
 	decls := []LocDecl{
 		{Name: "a", Kind: prog.NonAtomic},
 		{Name: "A", Kind: prog.Atomic},
@@ -305,18 +301,14 @@ func TestShardedClampAndSkip(t *testing.T) {
 		}
 		events = append(events, Event{Thread: int32(rnd(4)), Loc: int32(l), Kind: k})
 	}
-	want, err := ShardedRaces(4, decls, events, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := New(4, decls)
+	ref.StepBatch(events)
+	want := ref.Reports()
 	if len(want) == 0 {
 		t.Fatal("workload produced no races; not a useful fixture")
 	}
 	for _, shards := range []int{2, 3, 8, 64} {
-		got, err := ShardedRaces(4, decls, events, shards, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := pipelineReports(4, decls, events, PipelineConfig{Shards: shards})
 		if !race.ReportsEqual(got, want) {
 			t.Fatalf("shards=%d: got %v, want %v", shards, got, want)
 		}

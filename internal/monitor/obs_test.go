@@ -7,6 +7,7 @@ package monitor
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -72,13 +73,16 @@ func TestMonitorStats(t *testing.T) {
 
 func TestPipelineStats(t *testing.T) {
 	decls, events := raWorkload(6, 16, 60_000, 23)
+	const shards = 4
 	var naCount uint64
+	perBackend := make([]uint64, shards)
 	for _, e := range events {
 		if e.Kind == ReadNA || e.Kind == WriteNA {
 			naCount++
+			perBackend[e.Loc%shards]++
 		}
 	}
-	p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 256, GCInterval: 128, Rebalance: true})
+	p := NewPipeline(6, decls, PipelineConfig{Shards: shards, BatchSize: 256, GCInterval: 128})
 	p.StepBatch(events)
 	s := p.Stats()
 
@@ -88,12 +92,10 @@ func TestPipelineStats(t *testing.T) {
 	if got := s.Counter("pipeline.routed_records"); got != naCount {
 		t.Fatalf("pipeline.routed_records = %d, want %d", got, naCount)
 	}
-	var backSum uint64
-	for _, v := range s.Vectors["pipeline.backend_records"] {
-		backSum += v
-	}
-	if backSum != naCount {
-		t.Fatalf("backend_records sum = %d, want %d (vec %v)", backSum, naCount, s.Vectors["pipeline.backend_records"])
+	// Location l is owned by back-end l % shards, and Stats quiesced, so
+	// each back-end has applied exactly its locations' accesses.
+	if got := s.Vectors["pipeline.backend_records"]; !slices.Equal(got, perBackend) {
+		t.Fatalf("backend_records = %v, want %v", got, perBackend)
 	}
 	// Stats quiesced, so every enqueued record was flushed: the batch
 	// histogram's mass is exactly the record total.
@@ -104,17 +106,6 @@ func TestPipelineStats(t *testing.T) {
 	}
 	if s.Counter("pipeline.quiesces") == 0 {
 		t.Fatalf("no quiesces recorded (Stats itself quiesces)")
-	}
-	if got, want := s.Counter("pipeline.migrations"), p.Migrations(); got != want {
-		t.Fatalf("pipeline.migrations = %d, Migrations() = %d", got, want)
-	}
-	loads := p.BackendLoads()
-	var loadSum uint64
-	for _, v := range loads {
-		loadSum += v
-	}
-	if loadSum != naCount {
-		t.Fatalf("BackendLoads sum = %d, want %d", loadSum, naCount)
 	}
 
 	p.Finish()
@@ -142,7 +133,7 @@ func TestStatsReadsRaceFreeUnderIngest(t *testing.T) {
 	ref.StepBatch(events)
 	want := ref.Reports()
 
-	p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 64, GCInterval: 64, Rebalance: true})
+	p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 64, GCInterval: 64})
 	reg := p.Obs()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -191,7 +191,7 @@ func TestMonitorReaderParallelMatchesSequential(t *testing.T) {
 		}
 
 		reports, stats, err := ReadRacesParallel(bytes.NewReader(data), parsers,
-			PipelineConfig{Shards: 3, Rebalance: true})
+			PipelineConfig{Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -38,6 +37,14 @@ func mustNotLeakGoroutines(t *testing.T, fn func()) {
 	}
 }
 
+// pipelineReports monitors events through a fresh pipeline and returns
+// its report set.
+func pipelineReports(nthreads int, decls []LocDecl, events []Event, cfg PipelineConfig) []race.Report {
+	p := NewPipeline(nthreads, decls, cfg)
+	p.StepBatch(events)
+	return p.Finish()
+}
+
 // TestPipelineMatrixMatchesSequential is the pipeline determinism bar on
 // synthetic streams: byte-identical reports to the sequential monitor at
 // every (shard count, batch size, GC interval) combination, on both an
@@ -68,7 +75,7 @@ func TestPipelineMatrixMatchesSequential(t *testing.T) {
 			}
 			for _, shards := range []int{1, 2, 3, 4, 8} {
 				for _, batch := range []int{1, 64, 4096} {
-					got := PipelineRaces(6, w.decls, w.events, PipelineConfig{
+					got := pipelineReports(6, w.decls, w.events, PipelineConfig{
 						Shards: shards, BatchSize: batch, GCInterval: interval,
 					})
 					if !race.ReportsEqual(got, want) {
@@ -85,8 +92,8 @@ func TestPipelineMatrixMatchesSequential(t *testing.T) {
 // block on full rings mid-stream; the result must not change.
 func TestPipelineBackpressure(t *testing.T) {
 	decls, events := syntheticWorkload(6, 24, 30_000, 31)
-	want := PipelineRaces(6, decls, events, PipelineConfig{Shards: 1})
-	got := PipelineRaces(6, decls, events, PipelineConfig{Shards: 4, BatchSize: 8, QueueDepth: 1})
+	want := pipelineReports(6, decls, events, PipelineConfig{Shards: 1})
+	got := pipelineReports(6, decls, events, PipelineConfig{Shards: 4, BatchSize: 8, QueueDepth: 1})
 	if !race.ReportsEqual(got, want) {
 		t.Fatalf("backpressured pipeline diverged: got %v, want %v", got, want)
 	}
@@ -132,7 +139,7 @@ func TestPipelineRaceStress(t *testing.T) {
 // Source, FeedBatch from a BatchSource) agree with the push side.
 func TestPipelineFeedSources(t *testing.T) {
 	decls, events := syntheticWorkload(4, 12, 10_000, 7)
-	want := PipelineRaces(4, decls, events, PipelineConfig{Shards: 2})
+	want := pipelineReports(4, decls, events, PipelineConfig{Shards: 2})
 	p := NewPipeline(4, decls, PipelineConfig{Shards: 2})
 	if err := p.Feed(&SliceSource{Events: events}); err != nil {
 		t.Fatal(err)
@@ -390,99 +397,6 @@ func TestAdaptiveGCAdapts(t *testing.T) {
 	}
 }
 
-// TestRebalanceBoundsHotShard: the static loc-mod-shards split has an
-// adversarial worst case — a program whose nonatomic locations all sit
-// at declaration indices ≡ 0 (mod shards) routes every access record to
-// back-end 0. The skew-adaptive router must detect and repair that: by
-// the end of the stream no back-end may carry more than 1.5× the mean
-// record count (the rebalancer's own trigger threshold; only the short
-// pre-first-sweep prefix is exempt, and it is noise at this stream
-// length), while the static split demonstrably leaves every record on
-// one back-end. Reports are identical in all configurations.
-func TestRebalanceBoundsHotShard(t *testing.T) {
-	const shards = 4
-	// 16 nonatomic locations, every one at an index ≡ 0 (mod 4); the
-	// filler slots are atomics, so the static router pins all
-	// nonatomic traffic to back-end 0.
-	decls := make([]LocDecl, 64)
-	for i := range decls {
-		k := prog.Atomic
-		if i%shards == 0 {
-			k = prog.NonAtomic
-		}
-		decls[i] = LocDecl{Name: prog.Loc(fmt.Sprintf("l%d", i)), Kind: k}
-	}
-	x := uint64(23)
-	rnd := func(m int) int {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return int(x % uint64(m))
-	}
-	events := make([]Event, 0, 200_000)
-	for len(events) < cap(events) {
-		t := int32(rnd(4))
-		if rnd(10) == 0 {
-			l := int32(rnd(16)*shards + 1 + rnd(shards-1)) // an atomic slot
-			k := ReadAT
-			if rnd(2) == 0 {
-				k = WriteAT
-			}
-			events = append(events, Event{Thread: t, Loc: l, Kind: k})
-			continue
-		}
-		l := int32(rnd(16) * shards) // a nonatomic slot: always ≡ 0 (mod shards)
-		k := ReadNA
-		if rnd(3) == 0 {
-			k = WriteNA
-		}
-		events = append(events, Event{Thread: t, Loc: l, Kind: k})
-	}
-
-	ref := New(4, decls)
-	ref.SetGCInterval(512)
-	ref.StepBatch(events)
-	want := ref.Reports()
-
-	static := NewPipeline(4, decls, PipelineConfig{Shards: shards, GCInterval: 512})
-	static.StepBatch(events)
-	staticLoads := static.BackendLoads()
-	if !race.ReportsEqual(static.Finish(), want) {
-		t.Fatal("static pipeline diverged from sequential monitor")
-	}
-	for s := 1; s < shards; s++ {
-		if staticLoads[s] != 0 {
-			t.Fatalf("adversarial workload broke: back-end %d applied %d records under the static split (want 0)",
-				s, staticLoads[s])
-		}
-	}
-
-	reb := NewPipeline(4, decls, PipelineConfig{Shards: shards, GCInterval: 512, Rebalance: true})
-	reb.StepBatch(events)
-	loads := reb.BackendLoads()
-	if reb.Migrations() == 0 {
-		t.Fatal("rebalancer never migrated a location on the adversarial workload")
-	}
-	var total, max uint64
-	for _, v := range loads {
-		total += v
-		if v > max {
-			max = v
-		}
-	}
-	if total != staticLoads[0] {
-		t.Fatalf("rebalanced pipeline applied %d records, static applied %d", total, staticLoads[0])
-	}
-	avg := total / shards
-	if bound := avg + avg/2; max > bound {
-		t.Fatalf("hot back-end applied %d of %d records (loads %v); bound %d (1.5× mean)",
-			max, total, loads, bound)
-	}
-	if !race.ReportsEqual(reb.Finish(), want) {
-		t.Fatal("rebalanced pipeline diverged from sequential monitor")
-	}
-}
-
 // TestHaltViaTableStream sanity-checks the Kind plumbing end to end: a
 // halt for an out-of-range thread is rejected by event validation.
 func TestHaltValidation(t *testing.T) {
@@ -592,9 +506,9 @@ func TestPipelineAbortContract(t *testing.T) {
 			p := NewPipeline(6, decls, PipelineConfig{Shards: 4, BatchSize: 16})
 			p.StepBatch(events[:10_000])
 			p.Abort()
-			// BackendLoads quiesces; after an abort the barrier must not
-			// wait on back-ends that will never acknowledge.
-			_ = p.BackendLoads()
+			// Stats quiesces; after an abort the barrier must not wait on
+			// back-ends that will never acknowledge.
+			_ = p.Stats()
 			_ = p.EscalatedVectors()
 			if p.Events() != 10_000 {
 				t.Fatalf("Events after abort = %d, want 10000", p.Events())

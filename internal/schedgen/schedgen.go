@@ -155,7 +155,7 @@ type Options struct {
 	// the declared nonatomic locations (rank r has weight 1/(r+1)^s, rank
 	// 0 being the first nonatomic declaration — so low dense indices run
 	// hot). Skewed streams exercise the sharded pipeline's hot-location
-	// paths and its rebalancing router; under the package's plausible-
+	// paths; under the package's plausible-
 	// schedule contract the redirection is harmless — reads still return
 	// entries of the (redirected) location's own history, and the race
 	// oracle and monitor agree on any stream. 0 (the default) leaves

@@ -40,7 +40,6 @@ import (
 	"io"
 	"net"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -144,7 +143,7 @@ type svcCells struct {
 	tracked      *obs.Gauge   // service.sessions_tracked: known to the in-memory table
 	degraded     *obs.Gauge   // service.degraded: 1 while checkpoint writes fail (new admissions shed)
 	started      *obs.Counter // service.sessions_started: admissions (first + re-attach)
-	completed    *obs.Counter // service.sessions_completed: clean END + done reply
+	completed    *obs.Counter // service.sessions_completed: clean END + done reply (taken back if the reply fails)
 	rejected     *obs.Counter // service.sessions_rejected: busy replies
 	recovered    *obs.Counter // service.sessions_recovered: attaches restored from a ring entry
 	evicted      *obs.Counter // service.sessions_evicted: idle bookkeeping drops
@@ -398,6 +397,20 @@ func (s *Server) detach(sess *session, events uint64) {
 	s.c.tracked.Set(int64(len(s.sessions)))
 }
 
+// setCompleted records (or takes back) a session's clean completion in
+// the session table and the service.sessions_completed counter.
+func (s *Server) setCompleted(sess *session, done bool, races int) {
+	s.mu.Lock()
+	sess.completed = done
+	sess.races = races
+	s.mu.Unlock()
+	if done {
+		s.c.completed.Add(1)
+	} else {
+		s.c.completed.Add(^uint64(0)) // decrement
+	}
+}
+
 // noteCheckpoint records a checkpoint outcome and drives the degraded
 // flag: one failure sheds new admissions until a write succeeds again.
 func (s *Server) noteCheckpoint(sess *session, err error) {
@@ -433,34 +446,6 @@ func (d *deadlineReader) Read(p []byte) (int, error) {
 	n, err := d.conn.Read(p)
 	d.bytes.Add(uint64(n))
 	return n, err
-}
-
-// sink abstracts the session's monitoring target: a sequential Monitor
-// or a sharded Pipeline.
-type sink interface {
-	StepBatch([]monitor.Event)
-	Events() uint64
-	RAStats() monitor.RAStats
-	SnapshotWithReader(io.Writer, monitor.ReaderCheckpoint) error
-	Obs() *obs.Registry
-	finish() []race.Report
-	abort()
-}
-
-type monitorSink struct{ *monitor.Monitor }
-
-func (s monitorSink) finish() []race.Report { return s.Reports() }
-func (s monitorSink) abort()                {}
-
-type pipelineSink struct{ *monitor.Pipeline }
-
-func (s pipelineSink) finish() []race.Report { return s.Finish() }
-func (s pipelineSink) abort()                { s.Abort() }
-
-// headerEqual reports whether a recovered snapshot and the incoming
-// trace describe the same program shape.
-func headerEqual(a, b monitor.Header) bool {
-	return a.Threads == b.Threads && slices.Equal(a.Decls, b.Decls)
 }
 
 // handleConn runs one connection: handshake, admission, ingest.
@@ -518,9 +503,9 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	// The snapshot's header is known before any trace bytes arrive, so
 	// a recovered sink is built now and its event count rides on the ok
 	// reply (purely informative; resume positioning is server-side).
-	var sk sink
+	var sk monitor.Sink
 	if snap != nil {
-		sk = s.newSink(snapSource{snap})
+		sk = snap.Sink(monitor.PipelineConfig{Shards: s.cfg.Shards})
 		events = sk.Events()
 		s.c.recovered.Add(1)
 		s.logf("session %s: recovered at event %d", sess.id, events)
@@ -539,7 +524,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		return
 	}
 	if snap != nil {
-		if !headerEqual(snap.Header(), tr.Header()) {
+		if !snap.Header().Equal(tr.Header()) {
 			s.fail(sess, conn, sk, fmt.Errorf("service: resumed stream has a different header than the session's checkpoint"))
 			return
 		}
@@ -559,8 +544,9 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 			s.fail(sess, conn, sk, err)
 			return
 		}
-	} else if sk == nil {
-		sk = s.newSink(headerSource{tr.Header()})
+	} else {
+		hdr := tr.Header()
+		sk = monitor.NewSink(hdr.Threads, hdr.Decls, monitor.PipelineConfig{Shards: s.cfg.Shards})
 	}
 	s.mu.Lock()
 	sess.reg = sk.Obs()
@@ -596,7 +582,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	// Clean END marker: finalize and answer. The ring is destroyed only
 	// after the done line is on the wire — a crash in between re-runs
 	// the tail, which is idempotent (same trace, same result).
-	reports := sk.finish()
+	reports := sk.Finish()
 	st := sk.RAStats()
 	res := SessionResult{
 		Session: sess.id, Events: sk.Events(), RaceCount: len(reports),
@@ -608,27 +594,28 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		res.Races = append(res.Races, toRaceJSON(r))
 	}
 	events = res.Events
+	// Completion is recorded BEFORE the done line: the client returns as
+	// soon as it reads that line, and whatever it inspects next (the
+	// session table, service.sessions_completed) must already say so.
+	s.setCompleted(sess, true, len(reports))
 	if _, err := fmt.Fprintf(conn, "done %s\n", res.JSON()); err != nil {
 		// The client never saw the result; it will resume and re-run the
-		// tail. State stays recoverable.
+		// tail. Take the completion back and fail the session: the ring
+		// is kept, so state stays recoverable.
+		s.setCompleted(sess, false, 0)
 		s.fail(sess, nil, nil, err)
 		return
 	}
 	if ring != nil {
 		ring.destroy()
 	}
-	s.mu.Lock()
-	sess.completed = true
-	sess.races = len(reports)
-	s.mu.Unlock()
-	s.c.completed.Add(1)
 	s.logf("session %s: completed (%d events, %d races, resumed %d times)", sess.id, res.Events, res.RaceCount, sess.resumed)
 }
 
 // fail ends a session abnormally: classify, count, tear down the sink
 // WITHOUT checkpointing (the live state past the last checkpoint is
 // unproven), best-effort error reply.
-func (s *Server) fail(sess *session, conn net.Conn, sk sink, err error) {
+func (s *Server) fail(sess *session, conn net.Conn, sk monitor.Sink, err error) {
 	s.c.ingestErrs.Add(1)
 	switch {
 	case errors.Is(err, ErrChunkCorrupt):
@@ -642,7 +629,7 @@ func (s *Server) fail(sess *session, conn net.Conn, sk sink, err error) {
 		}
 	}
 	if sk != nil {
-		sk.abort()
+		sk.Abort()
 	}
 	s.logf("session %s: ingest failed: %v", sess.id, err)
 	if conn != nil {
@@ -650,31 +637,6 @@ func (s *Server) fail(sess *session, conn net.Conn, sk sink, err error) {
 		fmt.Fprintf(conn, "err %v\n", err)
 	}
 }
-
-// sinkSource is what newSink needs to size a fresh or recovered sink.
-type sinkSource interface {
-	build(cfg Config) sink
-}
-
-type snapSource struct{ snap *monitor.Snapshot }
-
-func (ss snapSource) build(cfg Config) sink {
-	if cfg.Shards > 1 {
-		return pipelineSink{ss.snap.Pipeline(monitor.PipelineConfig{Shards: cfg.Shards})}
-	}
-	return monitorSink{ss.snap.Monitor()}
-}
-
-type headerSource struct{ hdr monitor.Header }
-
-func (hs headerSource) build(cfg Config) sink {
-	if cfg.Shards > 1 {
-		return pipelineSink{monitor.NewPipeline(hs.hdr.Threads, hs.hdr.Decls, monitor.PipelineConfig{Shards: cfg.Shards})}
-	}
-	return monitorSink{monitor.New(hs.hdr.Threads, hs.hdr.Decls)}
-}
-
-func (s *Server) newSink(src sinkSource) sink { return src.build(s.cfg) }
 
 func toRaceJSON(r race.Report) RaceJSON {
 	return RaceJSON{
