@@ -8,27 +8,23 @@
 //
 //	racemon [-events N] [-threads K] [-policy fair|unfair|bursty]
 //	        [-seed S] [-shards M] [-locs L] [-atomics A] [-ra R]
-//	        [-stale PCT] [-skew S] [-halts] [-json] [-pipeline] [-stream]
+//	        [-stale PCT] [-skew S] [-halts] [-json]
 //	        [-predicate hb|syncp|short:k] [-trace FILE|-]
 //	        [-parsers N] [-emit FILE] [-format binary|text] [-wire 1|2]
 //	        [-golden FILE] [-update-golden] [-checkpoint FILE]
 //	        [-checkpoint-at N] [-resume FILE] [-stats-addr ADDR]
 //	        [-stats-interval DUR] [-stats-linger DUR]
 //
-// Modes:
+// Modes (the -json "mode" field):
 //
-//	(default)  generate the schedule into memory, then monitor it —
-//	           with -shards M > 1, through the two-stage parallel
-//	           pipeline (one sync front-end pass, M race back-ends;
-//	           identical reports at any shard count).
-//	-pipeline  generate and monitor in one fused pass through the
-//	           parallel pipeline, never materialising the event slice:
-//	           -shards M is the race back-end count. The multicore
-//	           ingest mode.
-//	-stream    generate and monitor in one fused pass on a single
-//	           sequential monitor: memory stays O(locations + threads²)
-//	           plus the windowed live RA-message set, regardless of
-//	           -events. Requires -shards 1.
+//	generate   (default) generate the schedule and monitor it in one
+//	           fused pass, never materialising the event slice: a
+//	           sequential monitor at -shards 1, whose memory stays
+//	           O(locations + threads²) plus the windowed live RA-message
+//	           set regardless of -events; with -shards M > 1, the
+//	           two-stage parallel pipeline (one sync front-end pass, M
+//	           race back-ends). Reports are identical at any shard count.
+//	           monitor_ns and events/sec include generation.
 //	-trace F   ingest a raw trace (binary v1/v2 or text wire format,
 //	           sniffed automatically) from file F, or from stdin with
 //	           "-", and monitor it in one bounded-memory pass (v2
@@ -37,7 +33,8 @@
 //	-emit F    generate the schedule and write it to F in the wire
 //	           format (-format binary|text; -wire selects the binary
 //	           version, default 2 = delta-compressed frames) without
-//	           monitoring — the producer side of -trace.
+//	           monitoring — the producer side of -trace. Only this mode
+//	           reports gen_ns.
 //
 // -halts appends a thread-retirement event when a generated thread runs
 // to completion (wire v2/text and the monitor understand it; it never
@@ -50,32 +47,31 @@
 // the hb set, witnessing races a feasible reordering of the observed
 // trace could expose; "short:k" (k ≥ 1) restricts syncp to access
 // pairs at most k events apart, bounding the candidate state to O(k)
-// per location regardless of trace length. Every monitoring mode
-// accepts it (-stream, -pipeline, -trace, sharded batch); reports
-// stay identical at any shard count. -emit does not monitor, so
-// combining it with a non-default -predicate is an error. A
-// checkpoint records its monitor's predicate, which is authoritative
-// on -resume (a conflicting -predicate is ignored with a warning).
-// With -json the summary carries the predicate and, for short:k, the
+// per location regardless of trace length. Both monitoring modes
+// accept it at any shard count, with identical reports. -emit does not
+// monitor, so combining it with a non-default -predicate is an error.
+// A checkpoint records its monitor's predicate, which is authoritative
+// on -resume (a conflicting -predicate is ignored with a warning). With
+// -json the summary carries the predicate and, for short:k, the
 // window's live/peak candidate counts.
 //
 // -skew S redirects each generated nonatomic access to a location drawn
 // from a Zipf distribution with exponent S (0 = uniform, the default) —
 // hot-location workloads for the sharded pipeline. -parsers N decodes a
-// -trace's v2 frames on N
-// parallel workers feeding the ordering sequencer; it falls back to the
-// sequential decoder for v1/text traces and for runs that checkpoint or
-// resume (the reader continuation is a sequential-decoder construct).
+// -trace's v2 frames on N parallel workers feeding the ordering
+// sequencer; it falls back to the sequential decoder for v1/text traces,
+// and, with a warning, for runs that checkpoint or resume (the reader
+// continuation is a sequential-decoder construct).
 //
 // Checkpoint/resume: -checkpoint FILE snapshots the monitor (or
 // pipeline front-end + back-ends) in the LDCK format of
 // internal/monitor — at the end of the run, or, with -checkpoint-at N,
-// after the N-th monitored event, stopping there. Works in the -stream,
-// -pipeline and -trace modes. -resume FILE (with -trace) restores the
+// after exactly the N-th monitored event, stopping there. Both
+// monitoring modes checkpoint. -resume FILE (with -trace) restores the
 // snapshot and continues over the trace: a checkpoint taken by -trace
 // carries the reader's byte offset and v2 delta context, so the resumed
-// run seeks straight to where monitoring stopped; a checkpoint taken by
-// -stream/-pipeline carries no offset, so the resumed run skips the
+// run seeks straight to where monitoring stopped; a checkpoint of a
+// generated run carries no offset, so the resumed run skips the
 // already-monitored prefix by count (the trace must therefore be the
 // same event stream, e.g. the -emit of the same seed and parameters).
 // Resuming with -shards M > 1 routes every restored location's state to
@@ -101,8 +97,8 @@
 //
 // Examples:
 //
-//	racemon -pipeline -shards 4 -events 5000000 -json
-//	racemon -stream -events 5000000 -json
+//	racemon -shards 4 -events 5000000 -json
+//	racemon -events 5000000 -checkpoint ck.ldck -checkpoint-at 2500000
 //	racemon -emit trace.bin -events 100000 && racemon -trace trace.bin
 //	racemon -emit trace.bin -wire 1 -events 100000   # v1 for old readers
 //	racemon -emit - -format text -events 50 -threads 2 | head
@@ -140,16 +136,18 @@ import (
 )
 
 type result struct {
-	Program      string  `json:"program"`
-	Mode         string  `json:"mode"`
-	Threads      int     `json:"threads"`
-	Policy       string  `json:"policy,omitempty"`
-	Seed         int64   `json:"seed"`
-	Events       int     `json:"events"`
-	Completed    bool    `json:"completed"`
-	Shards       int     `json:"shards"`
-	Parsers      int     `json:"parsers,omitempty"`
-	GenNs        int64   `json:"gen_ns"`
+	Program   string `json:"program"`
+	Mode      string `json:"mode"`
+	Threads   int    `json:"threads"`
+	Policy    string `json:"policy,omitempty"`
+	Seed      int64  `json:"seed"`
+	Events    int    `json:"events"`
+	Completed bool   `json:"completed"`
+	Shards    int    `json:"shards"`
+	Parsers   int    `json:"parsers,omitempty"`
+	// GenNs is -emit's generation time. The monitoring modes generate or
+	// decode inside the timed pass, so their MonitorNs includes it.
+	GenNs        int64   `json:"gen_ns,omitempty"`
 	MonitorNs    int64   `json:"monitor_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	RaceCount    int     `json:"race_count"`
@@ -170,22 +168,14 @@ type result struct {
 	// Static analysis results, present with -static-prefilter: how many
 	// nonatomic locations the sound static pass certified race-free
 	// (their checker work is skipped) vs left in the may-race set.
-	StaticCertified int           `json:"static_certified,omitempty"`
-	StaticMayRace   int           `json:"static_may_race,omitempty"`
-	Races           []raceJSON    `json:"races,omitempty"`
-	Locations       locationsJSON `json:"locations"`
+	StaticCertified int               `json:"static_certified,omitempty"`
+	StaticMayRace   int               `json:"static_may_race,omitempty"`
+	Races           []race.ReportJSON `json:"races,omitempty"`
+	Locations       locationsJSON     `json:"locations"`
 	// Stats is the final telemetry snapshot of the run's obs registries
 	// (monitor.*, pipeline.*, parse.* — see internal/monitor's metric
 	// catalogue). Absent under -emit, which does not monitor.
 	Stats *obs.Snapshot `json:"stats,omitempty"`
-}
-
-type raceJSON struct {
-	Loc     string `json:"loc"`
-	ThreadI int    `json:"thread_i"`
-	ThreadJ int    `json:"thread_j"`
-	OpI     string `json:"op_i"`
-	OpJ     string `json:"op_j"`
 }
 
 type locationsJSON struct {
@@ -198,8 +188,8 @@ type locationsJSON struct {
 // -golden flag compares (timings and throughput vary run to run; the
 // report set must not).
 type goldenDoc struct {
-	RaceCount int        `json:"race_count"`
-	Races     []raceJSON `json:"races"`
+	RaceCount int               `json:"race_count"`
+	Races     []race.ReportJSON `json:"races"`
 }
 
 func fatalf(format string, args ...any) {
@@ -207,186 +197,213 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func main() {
-	events := flag.Int("events", 1_000_000, "schedule length in events")
-	threads := flag.Int("threads", 8, "thread count of the generated program")
-	policy := flag.String("policy", "fair", "scheduling policy: fair|unfair|bursty")
-	seed := flag.Int64("seed", 1, "generator seed (program and schedule)")
-	shards := flag.Int("shards", 1, "location shards monitored in parallel")
-	locs := flag.Int("locs", 48, "nonatomic location count")
-	atomics := flag.Int("atomics", 8, "atomic location count")
-	ra := flag.Int("ra", 8, "release-acquire location count")
-	stale := flag.Int("stale", 10, "percent of reads returning stale values")
-	skew := flag.Float64("skew", 0, "Zipf exponent skewing generated nonatomic accesses toward hot locations (0 = uniform)")
-	predicateS := flag.String("predicate", "hb", "race predicate: hb (observed-trace happens-before), syncp (sync-preserving predictable races) or short:k (syncp within k events)")
-	staticPrefilter := flag.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")
-	privateLocs := flag.Int("private-locs", 0, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
-	privatePct := flag.Int("private-pct", 0, "percent of nonatomic data traffic redirected to the accessing thread's private pool")
-	parsers := flag.Int("parsers", 1, "parallel trace-decode workers for -trace (v2 traces; ≥ 2 enables the parallel front-end)")
-	asJSON := flag.Bool("json", false, "emit a JSON summary")
-	maxRaces := flag.Int("max-races", 20, "race reports listed in the output (0 = all)")
-	pipeline := flag.Bool("pipeline", false, "generate and monitor in one fused pass through the parallel pipeline (-shards = back-end count)")
-	stream := flag.Bool("stream", false, "generate and monitor in one pass (no materialised schedule)")
-	halts := flag.Bool("halts", false, "emit thread-retirement events when generated threads complete")
-	traceFile := flag.String("trace", "", "monitor a wire-format trace from FILE ('-' = stdin) instead of generating")
-	emitFile := flag.String("emit", "", "generate and write the wire-format trace to FILE ('-' = stdout) instead of monitoring")
-	formatS := flag.String("format", "binary", "wire format for -emit: binary|text")
-	wire := flag.Int("wire", 2, "binary wire version for -emit: 1 (per-event) or 2 (delta-compressed frames)")
-	golden := flag.String("golden", "", "compare the deterministic report set against this golden JSON file")
-	updateGolden := flag.Bool("update-golden", false, "rewrite the -golden file instead of comparing")
-	checkpointFile := flag.String("checkpoint", "", "write a monitor snapshot to FILE (at end of run, or at -checkpoint-at)")
-	checkpointAt := flag.Uint64("checkpoint-at", 0, "snapshot after this many monitored events and stop (0 = at end)")
-	resumeFile := flag.String("resume", "", "restore the monitor from this snapshot before ingesting (-trace only)")
-	statsAddr := flag.String("stats-addr", "", "serve live telemetry over HTTP on this address (GET /stats, /debug/vars, /debug/pprof)")
-	statsInterval := flag.Duration("stats-interval", 0, "print a telemetry progress line to stderr at this interval (0 = off)")
-	statsLinger := flag.Duration("stats-linger", 0, "keep the -stats-addr endpoint alive this long after the run finishes")
-	flag.Parse()
+// config is a validated command line.
+type config struct {
+	gen           genParams
+	shards        int
+	parsers       int // -trace decode workers; 1 = the sequential reader
+	spec          predict.Spec
+	format        monitor.Format
+	asJSON        bool
+	maxRaces      int
+	traceFile     string
+	emitFile      string
+	golden        string
+	updateGolden  bool
+	ck            ckParams
+	resumeFile    string
+	statsAddr     string
+	statsInterval time.Duration
+	statsLinger   time.Duration
+}
+
+// parseConfig parses and validates the command line. Beyond parsing
+// each value, every flag rule is a row of one of its two tables: a
+// combination that cannot run is an error (racemon exits 2); one that
+// runs with a flag dropped is a warning. The one rule that needs the
+// snapshot's contents, predicateOverrideWarning, is checked when the
+// snapshot is read.
+func parseConfig(args []string) (config, []string, error) {
+	fs := flag.NewFlagSet("racemon", flag.ContinueOnError)
+	events := fs.Int("events", 1_000_000, "schedule length in events")
+	threads := fs.Int("threads", 8, "thread count of the generated program")
+	policy := fs.String("policy", "fair", "scheduling policy: fair|unfair|bursty")
+	seed := fs.Int64("seed", 1, "generator seed (program and schedule)")
+	shards := fs.Int("shards", 1, "location shards monitored in parallel")
+	locs := fs.Int("locs", 48, "nonatomic location count")
+	atomics := fs.Int("atomics", 8, "atomic location count")
+	ra := fs.Int("ra", 8, "release-acquire location count")
+	stale := fs.Int("stale", 10, "percent of reads returning stale values")
+	skew := fs.Float64("skew", 0, "Zipf exponent skewing generated nonatomic accesses toward hot locations (0 = uniform)")
+	predicateS := fs.String("predicate", "hb", "race predicate: hb (observed-trace happens-before), syncp (sync-preserving predictable races) or short:k (syncp within k events)")
+	staticPrefilter := fs.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")
+	privateLocs := fs.Int("private-locs", 0, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
+	privatePct := fs.Int("private-pct", 0, "percent of nonatomic data traffic redirected to the accessing thread's private pool")
+	parsers := fs.Int("parsers", 1, "parallel trace-decode workers for -trace (v2 traces; ≥ 2 enables the parallel front-end)")
+	asJSON := fs.Bool("json", false, "emit a JSON summary")
+	maxRaces := fs.Int("max-races", 20, "race reports listed in the output (0 = all)")
+	halts := fs.Bool("halts", false, "emit thread-retirement events when generated threads complete")
+	traceFile := fs.String("trace", "", "monitor a wire-format trace from FILE ('-' = stdin) instead of generating")
+	emitFile := fs.String("emit", "", "generate and write the wire-format trace to FILE ('-' = stdout) instead of monitoring")
+	formatS := fs.String("format", "binary", "wire format for -emit: binary|text")
+	wire := fs.Int("wire", 2, "binary wire version for -emit: 1 (per-event) or 2 (delta-compressed frames)")
+	golden := fs.String("golden", "", "compare the deterministic report set against this golden JSON file")
+	updateGolden := fs.Bool("update-golden", false, "rewrite the -golden file instead of comparing")
+	checkpointFile := fs.String("checkpoint", "", "write a monitor snapshot to FILE (at end of run, or at -checkpoint-at)")
+	checkpointAt := fs.Uint64("checkpoint-at", 0, "snapshot after this many monitored events and stop (0 = at end)")
+	resumeFile := fs.String("resume", "", "restore the monitor from this snapshot before ingesting (-trace only)")
+	statsAddr := fs.String("stats-addr", "", "serve live telemetry over HTTP on this address (GET /stats, /debug/vars, /debug/pprof)")
+	statsInterval := fs.Duration("stats-interval", 0, "print a telemetry progress line to stderr at this interval (0 = off)")
+	statsLinger := fs.Duration("stats-linger", 0, "keep the -stats-addr endpoint alive this long after the run finishes")
+	if err := fs.Parse(args); err != nil {
+		return config{}, nil, err
+	}
 
 	pol, err := schedgen.ParsePolicy(*policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return config{}, nil, err
 	}
 	format, err := monitor.ParseFormat(*formatS)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return config{}, nil, err
 	}
 	spec, err := predict.Parse(*predicateS)
+	if err != nil {
+		return config{}, nil, err
+	}
+	trace, emit, resume, ck := *traceFile != "", *emitFile != "", *resumeFile != "", *checkpointFile != ""
+	errorRules := []struct {
+		broken bool
+		msg    string
+	}{
+		{*threads < 1 || *events < 1 || *locs < 1 || *atomics < 0 || *ra < 0 || *shards < 1,
+			"-events, -threads, -locs and -shards must be ≥ 1 (-atomics/-ra ≥ 0)"},
+		{*parsers < 1, "-parsers must be ≥ 1"},
+		{*skew < 0, "-skew must be ≥ 0"},
+		{*wire != 1 && *wire != 2, "-wire must be 1 or 2"},
+		{trace && emit, "-trace and -emit are mutually exclusive"},
+		{resume && !trace, "-resume continues over a recorded trace; it needs -trace FILE"},
+		{*checkpointAt > 0 && !ck, "-checkpoint-at needs -checkpoint FILE"},
+		{ck && emit, "-emit does not monitor, so there is no monitor state for -checkpoint"},
+		{*updateGolden && *golden == "", "-update-golden needs -golden FILE"},
+		{*golden != "" && emit, "-emit does not monitor, so there is no report set for -golden"},
+		{*statsLinger > 0 && *statsAddr == "", "-stats-linger keeps the HTTP endpoint alive; it needs -stats-addr"},
+		{*privateLocs < 0 || *privatePct < 0 || *privatePct > 100, "-private-locs must be ≥ 0 and -private-pct in 0..100"},
+		{emit && spec.Pred != monitor.PredHB, "-emit does not monitor, so -predicate has no effect; drop it or monitor the trace instead"},
+		{*staticPrefilter && emit, "-static-prefilter analyses the generated program; it cannot be used with -emit"},
+		{*staticPrefilter && trace && !resume, "-static-prefilter analyses the generated program; it cannot be used with -trace"},
+	}
+	for _, r := range errorRules {
+		if r.broken {
+			return config{}, nil, errors.New(r.msg)
+		}
+	}
+
+	// Checkpoint/resume rides the sequential reader's byte-offset
+	// continuation, which the parallel front-end cannot produce, so
+	// -parsers falls back to 1 there — with a warning, since silence
+	// would hide a real performance cliff. -static-prefilter with
+	// -resume is the natural "resume my prefiltered run"; the mask is
+	// derived from the program, which a trace does not carry, so the
+	// resumed run proceeds unfiltered and says so.
+	var ckConflict string
+	switch {
+	case resume && ck:
+		ckConflict = "-resume and -checkpoint"
+	case resume:
+		ckConflict = "-resume"
+	case ck:
+		ckConflict = "-checkpoint"
+	}
+	dropParsers := trace && *parsers > 1 && ckConflict != ""
+	warnRules := []struct {
+		applies bool
+		msg     string
+	}{
+		{*staticPrefilter && trace && resume, "-static-prefilter ignored: the filter mask is derived from the generated program and is not recorded in snapshots or traces, so the resumed run monitors unfiltered (reports may include locations the original run skipped)"},
+		{dropParsers, fmt.Sprintf("-parsers %d ignored: %s needs the sequential reader's byte-offset continuation, which the parallel front-end cannot produce; decoding sequentially", *parsers, ckConflict)},
+	}
+	var warnings []string
+	for _, r := range warnRules {
+		if r.applies {
+			warnings = append(warnings, r.msg)
+		}
+	}
+
+	if format == monitor.Binary && *wire == 2 {
+		format = monitor.BinaryV2
+	}
+	cfg := config{
+		gen: genParams{
+			policy: pol, seed: *seed, events: *events, threads: *threads,
+			locs: *locs, atomics: *atomics, ra: *ra, stale: *stale, halts: *halts,
+			skew: *skew, privateLocs: *privateLocs, privatePct: *privatePct,
+			prefilter: *staticPrefilter,
+		},
+		shards: *shards, parsers: *parsers, spec: spec, format: format,
+		asJSON: *asJSON, maxRaces: *maxRaces,
+		traceFile: *traceFile, emitFile: *emitFile,
+		golden: *golden, updateGolden: *updateGolden,
+		ck:         ckParams{file: *checkpointFile, at: *checkpointAt},
+		resumeFile: *resumeFile,
+		statsAddr:  *statsAddr, statsInterval: *statsInterval, statsLinger: *statsLinger,
+	}
+	if dropParsers {
+		cfg.parsers = 1
+	}
+	return cfg, warnings, nil
+}
+
+func main() {
+	c, warnings, err := parseConfig(os.Args[1:])
+	for _, w := range warnings {
+		fmt.Fprintln(os.Stderr, "racemon: "+w)
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "racemon: "+err.Error())
 		os.Exit(2)
 	}
-	if *threads < 1 || *events < 1 || *locs < 1 || *atomics < 0 || *ra < 0 || *shards < 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -events, -threads, -locs and -shards must be ≥ 1 (-atomics/-ra ≥ 0)")
-		os.Exit(2)
-	}
-	if *parsers < 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -parsers must be ≥ 1")
-		os.Exit(2)
-	}
-	if *skew < 0 {
-		fmt.Fprintln(os.Stderr, "racemon: -skew must be ≥ 0")
-		os.Exit(2)
-	}
-	if *wire != 1 && *wire != 2 {
-		fmt.Fprintln(os.Stderr, "racemon: -wire must be 1 or 2")
-		os.Exit(2)
-	}
-	if format == monitor.Binary && *wire == 2 {
-		format = monitor.BinaryV2
-	}
-	modeFlags := 0
-	for _, on := range []bool{*pipeline, *stream, *traceFile != "", *emitFile != ""} {
-		if on {
-			modeFlags++
-		}
-	}
-	if modeFlags > 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -pipeline, -stream, -trace and -emit are mutually exclusive")
-		os.Exit(2)
-	}
-	if *stream && *shards != 1 {
-		fmt.Fprintln(os.Stderr, "racemon: -stream monitors in a single pass; -shards must be 1")
-		os.Exit(2)
-	}
-	if *resumeFile != "" && *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "racemon: -resume continues over a recorded trace; it needs -trace FILE")
-		os.Exit(2)
-	}
-	if *checkpointAt > 0 && *checkpointFile == "" {
-		fmt.Fprintln(os.Stderr, "racemon: -checkpoint-at needs -checkpoint FILE")
-		os.Exit(2)
-	}
-	if *checkpointFile != "" && !*stream && !*pipeline && *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "racemon: -checkpoint needs a streaming mode (-stream, -pipeline or -trace)")
-		os.Exit(2)
-	}
-	if *updateGolden && *golden == "" {
-		fmt.Fprintln(os.Stderr, "racemon: -update-golden needs -golden FILE")
-		os.Exit(2)
-	}
-	if *golden != "" && *emitFile != "" {
-		fmt.Fprintln(os.Stderr, "racemon: -emit does not monitor, so there is no report set for -golden")
-		os.Exit(2)
-	}
-	if *statsLinger > 0 && *statsAddr == "" {
-		fmt.Fprintln(os.Stderr, "racemon: -stats-linger keeps the HTTP endpoint alive; it needs -stats-addr")
-		os.Exit(2)
-	}
-	if *privateLocs < 0 || *privatePct < 0 || *privatePct > 100 {
-		fmt.Fprintln(os.Stderr, "racemon: -private-locs must be ≥ 0 and -private-pct in 0..100")
-		os.Exit(2)
-	}
-	if *emitFile != "" && spec.Pred != monitor.PredHB {
-		fmt.Fprintln(os.Stderr, "racemon: -emit does not monitor, so -predicate has no effect; drop it or monitor the trace instead")
-		os.Exit(2)
-	}
-	fatalMsg, warn := staticFilterDecision(*staticPrefilter, *traceFile, *emitFile, *resumeFile)
-	if fatalMsg != "" {
-		fmt.Fprintln(os.Stderr, "racemon: "+fatalMsg)
-		os.Exit(2)
-	}
-	if warn != "" {
-		fmt.Fprintln(os.Stderr, "racemon: "+warn)
-	}
 
-	if *statsAddr != "" {
-		startStats(*statsAddr)
-		if *statsLinger > 0 {
+	if c.statsAddr != "" {
+		startStats(c.statsAddr)
+		if c.statsLinger > 0 {
 			defer func() {
-				fmt.Fprintf(os.Stderr, "racemon: stats endpoint lingering %s\n", *statsLinger)
-				time.Sleep(*statsLinger)
+				fmt.Fprintf(os.Stderr, "racemon: stats endpoint lingering %s\n", c.statsLinger)
+				time.Sleep(c.statsLinger)
 			}()
 		}
 	}
 	var stopProgress chan struct{}
-	if *statsInterval > 0 {
+	if c.statsInterval > 0 {
 		stopProgress = make(chan struct{})
-		go progressLoop(*statsInterval, stopProgress)
+		go progressLoop(c.statsInterval, stopProgress)
 	}
 
-	gp := genParams{
-		policy: pol, seed: *seed, events: *events, threads: *threads,
-		locs: *locs, atomics: *atomics, ra: *ra, stale: *stale, halts: *halts,
-		skew: *skew, privateLocs: *privateLocs, privatePct: *privatePct,
-		prefilter: *staticPrefilter,
-	}
-	ck := ckParams{file: *checkpointFile, at: *checkpointAt}
 	var res result
 	var reports []race.Report
 	switch {
-	case *traceFile != "":
-		par, warn := parallelParseDecision(*parsers, *resumeFile, ck.file)
-		if warn != "" {
-			fmt.Fprintln(os.Stderr, "racemon: "+warn)
-		}
-		if par {
-			res, reports = runTraceParallel(*traceFile, *shards, *parsers, spec)
-		} else {
-			res, reports = runTrace(*traceFile, *shards, *resumeFile, ck, spec)
-		}
-	case *emitFile != "":
-		res = runEmit(*emitFile, format, gp)
-	case *pipeline:
-		res, reports = runPipeline(gp, *shards, ck, spec)
+	case c.traceFile != "":
+		res, reports = runTrace(c)
+	case c.emitFile != "":
+		res = runEmit(c)
 	default:
-		res, reports = runGenerated(gp, *shards, *stream, ck, spec)
+		res, reports = runGenerate(c)
 	}
 	if stopProgress != nil {
 		close(stopProgress)
 	}
 
 	listed := reports
-	if *maxRaces > 0 && len(listed) > *maxRaces {
-		listed = listed[:*maxRaces]
+	if c.maxRaces > 0 && len(listed) > c.maxRaces {
+		listed = listed[:c.maxRaces]
 	}
-	for _, r := range listed {
-		res.Races = append(res.Races, toJSON(r))
-	}
+	res.Races = race.ReportsJSON(listed)
 
-	if *golden != "" {
-		if err := checkGolden(*golden, *updateGolden, reports); err != nil {
+	if c.golden != "" {
+		if err := checkGolden(c.golden, c.updateGolden, reports); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -394,10 +411,10 @@ func main() {
 	// When the trace itself goes to stdout (-emit -), the summary must
 	// not be interleaved with it.
 	out := os.Stdout
-	if *emitFile == "-" {
+	if c.emitFile == "-" {
 		out = os.Stderr
 	}
-	if *asJSON {
+	if c.asJSON {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
@@ -409,17 +426,14 @@ func main() {
 	fmt.Fprintf(out, "program   %s  (%d threads; %d nonatomic / %d atomic / %d ra locations)\n",
 		res.Program, res.Threads, res.Locations.NonAtomic, res.Locations.Atomic, res.Locations.RA)
 	if res.Mode == "emit" {
-		fmt.Fprintf(out, "emitted   %d events (%s wire format)\n", res.Events, format)
+		fmt.Fprintf(out, "emitted   %d events (%s wire format)\n", res.Events, c.format)
 		return
 	}
 	if res.Policy != "" {
 		fmt.Fprintf(out, "schedule  %d events, policy=%s, seed=%d, stale=%d%%\n",
-			res.Events, res.Policy, res.Seed, *stale)
+			res.Events, res.Policy, res.Seed, c.gen.stale)
 	} else {
 		fmt.Fprintf(out, "trace     %d events\n", res.Events)
-	}
-	if res.GenNs > 0 {
-		fmt.Fprintf(out, "generate  %8.1f ms\n", float64(res.GenNs)/1e6)
 	}
 	fmt.Fprintf(out, "monitor   %8.1f ms  (%.1fM events/sec, %d shard(s), mode=%s)\n",
 		float64(res.MonitorNs)/1e6, res.EventsPerSec/1e6, res.Shards, res.Mode)
@@ -480,6 +494,15 @@ func (gp genParams) program() (*monitor.Table, string) {
 	return monitor.NewTable(p), p.Name
 }
 
+// summary starts the result of a generated-schedule mode.
+func (gp genParams) summary(mode, name string, threads, shards int) result {
+	return result{
+		Program: name, Mode: mode, Threads: threads, Policy: gp.policy.String(),
+		Seed: gp.seed, Shards: shards,
+		Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
+	}
+}
+
 // staticMask runs the static analysis when -static-prefilter is on,
 // records the verdict counts in res, and returns the monitor skip mask
 // (nil when disabled or when nothing certified).
@@ -526,187 +549,129 @@ func writeSnapshot(path string, snap func(io.Writer) error) {
 	}
 }
 
-// runPipeline is the fused parallel mode: schedgen batches feed the
-// two-stage pipeline directly — one sync front-end pass, shards race
-// back-ends, no materialised schedule.
-func runPipeline(gp genParams, shards int, ck ckParams, spec predict.Spec) (result, []race.Report) {
+// runGenerate generates the schedule and monitors it in one fused pass:
+// schedgen's batches feed monitor.NewSink — a sequential Monitor at
+// -shards 1, the pipeline above — and the schedule is never
+// materialised. With -checkpoint-at N the last batch is cut so the run
+// stops after exactly N monitored events.
+func runGenerate(c config) (result, []race.Report) {
+	gp := c.gen
 	tb, name := gp.program()
-	res := result{
-		Program: name, Mode: "pipeline", Threads: tb.Threads(), Policy: gp.policy.String(),
-		Seed: gp.seed, Shards: shards,
-		Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
-	}
-	pl := monitor.NewPipeline(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-		Shards: shards, StaticFilter: gp.staticMask(tb, &res),
-		Predicate: spec.Pred, WindowK: spec.K,
+	res := gp.summary("generate", name, tb.Threads(), c.shards)
+	sink := monitor.NewSink(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
+		Shards: c.shards, StaticFilter: gp.staticMask(tb, &res),
+		Predicate: c.spec.Pred, WindowK: c.spec.K,
 	})
-	tel.attach(pl.Obs())
+	tel.attach(sink.Obs())
 	start := time.Now()
 	completed, err := schedgen.StreamBatch(tb.Program(), tb, gp.options(), 0, func(evs []monitor.Event) error {
-		if ck.at > 0 {
-			if remaining := ck.at - pl.Events(); uint64(len(evs)) >= remaining {
-				pl.StepBatch(evs[:remaining])
+		if c.ck.at > 0 {
+			if remaining := c.ck.at - sink.Events(); uint64(len(evs)) >= remaining {
+				sink.StepBatch(evs[:remaining])
 				return errCheckpointStop
 			}
 		}
-		pl.StepBatch(evs)
+		sink.StepBatch(evs)
 		return nil
 	})
 	if err == errCheckpointStop {
 		err, completed = nil, false
 	}
 	if err != nil {
-		fatalf("pipeline: %v", err)
-	}
-	if ck.file != "" {
-		writeSnapshot(ck.file, pl.Snapshot)
-	}
-	res.Completed = completed
-	return res, finish(&res, pl, start)
-}
-
-// runGenerated is the in-process generation path: the batch mode (a
-// sequential monitor, or the pipeline when shards > 1), or -stream's
-// single fused pass.
-func runGenerated(gp genParams, shards int, stream bool, ck ckParams, spec predict.Spec) (result, []race.Report) {
-	tb, name := gp.program()
-	opt := gp.options()
-	res := result{
-		Program: name, Threads: tb.Threads(), Policy: gp.policy.String(), Seed: gp.seed,
-		Shards: shards, Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
-	}
-	mask := gp.staticMask(tb, &res)
-
-	if stream {
-		res.Mode = "stream"
-		m := monitor.New(tb.Threads(), tb.Decls())
-		spec.Apply(m)
-		m.SetStaticFilter(mask)
-		tel.attach(m.Obs())
-		start := time.Now()
-		completed, err := schedgen.Stream(tb.Program(), tb, opt, func(e monitor.Event) error {
-			m.Step(e)
-			if ck.at > 0 && m.Events() >= ck.at {
-				return errCheckpointStop
-			}
-			return nil
-		})
-		if err == errCheckpointStop {
-			err, completed = nil, false
-		}
-		if err != nil {
-			fatalf("stream: %v", err)
-		}
-		if ck.file != "" {
-			writeSnapshot(ck.file, m.Snapshot)
-		}
-		res.Completed = completed
-		return res, finish(&res, m, start)
-	}
-
-	res.Mode = "batch"
-	genStart := time.Now()
-	streamEv, completed, err := schedgen.Generate(tb.Program(), tb, opt, make([]monitor.Event, 0, gp.events))
-	if err != nil {
 		fatalf("generate: %v", err)
 	}
-	res.GenNs = time.Since(genStart).Nanoseconds()
+	if c.ck.file != "" {
+		writeSnapshot(c.ck.file, sink.Snapshot)
+	}
 	res.Completed = completed
-
-	start := time.Now()
-	sk := monitor.NewSink(tb.Threads(), tb.Decls(), monitor.PipelineConfig{
-		Shards: shards, StaticFilter: mask, Predicate: spec.Pred, WindowK: spec.K,
-	})
-	tel.attach(sk.Obs())
-	sk.StepBatch(streamEv)
-	return res, finish(&res, sk, start)
+	return res, finish(&res, sink, start)
 }
 
-// runTrace ingests a wire-format trace from a file or stdin — through a
-// sequential monitor, or a parallel pipeline when shards > 1 —
-// optionally resuming from a snapshot and/or checkpointing mid-ingest.
-func runTrace(path string, shards int, resumePath string, ck ckParams, spec predict.Spec) (result, []race.Report) {
+// runTrace ingests a wire-format trace from a file or stdin through a
+// sequential monitor, or the pipeline when -shards > 1, optionally
+// resuming from a snapshot and/or checkpointing mid-ingest. With
+// -parsers ≥ 2 (which parseConfig allows only without -resume and
+// -checkpoint) the parallel front-end decodes the trace; v1 and text
+// traces fall back to sequential decoding inside that reader.
+func runTrace(c config) (result, []race.Report) {
 	var rd io.Reader = os.Stdin
 	name := "stdin"
-	if path != "-" {
-		f, err := os.Open(path)
+	if c.traceFile != "-" {
+		f, err := os.Open(c.traceFile)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer f.Close()
-		rd, name = f, path
+		rd, name = f, c.traceFile
 	}
 	start := time.Now()
-	tr, err := monitor.NewTraceReader(rd)
-	if err != nil {
-		fatalf("trace: %v", err)
+	var (
+		src  monitor.BatchSource
+		tr   *monitor.TraceReader
+		hdr  monitor.Header
+		preg *obs.Registry
+	)
+	if c.parsers > 1 {
+		// The decode workers publish parse.* into their own registry (they
+		// start before the sink exists); /stats and the summary merge it
+		// with the sink's monitor.*/pipeline.* cells.
+		preg = obs.NewRegistry()
+		pr, err := monitor.NewParallelTraceReaderObs(rd, c.parsers, preg)
+		if err != nil {
+			fatalf("trace: %v", err)
+		}
+		defer pr.Close()
+		tel.attach(preg)
+		src, hdr = pr, pr.Header()
+	} else {
+		var err error
+		if tr, err = monitor.NewTraceReader(rd); err != nil {
+			fatalf("trace: %v", err)
+		}
+		src, hdr = tr, tr.Header()
 	}
-	hdr := tr.Header()
 
-	// Resume: restore the snapshot and position the reader — by byte
-	// offset when the checkpoint was taken mid-ingest (it carries a
-	// reader continuation), by event count otherwise (a -stream/-pipeline
-	// checkpoint over the same generated stream).
-	var snap *monitor.Snapshot
-	if resumePath != "" {
-		f, err := os.Open(resumePath)
+	cfg := monitor.PipelineConfig{Shards: c.shards, Predicate: c.spec.Pred, WindowK: c.spec.K}
+	var sink monitor.Sink
+	if c.resumeFile != "" {
+		f, err := os.Open(c.resumeFile)
 		if err != nil {
 			fatalf("resume: %v", err)
 		}
-		snap, err = monitor.ReadSnapshot(f)
+		snap, err := monitor.ReadSnapshot(f)
 		f.Close()
 		if err != nil {
 			fatalf("resume: %v", err)
 		}
-		if !snap.Header().Equal(hdr) {
-			fatalf("resume: snapshot was taken over a different program shape than %s", name)
-		}
-		if rck, ok := snap.Reader(); ok {
-			if err := tr.Resume(rck); err != nil {
-				fatalf("resume: %v", err)
-			}
+		if err := snap.Resume(tr); err != nil {
+			fatalf("resume %s: %v", name, err)
 		}
 		if snap.StaticFiltered() {
 			fmt.Fprintln(os.Stderr, "racemon: resume: the snapshotted run had a static prefilter active; the mask is not recorded, so monitoring continues unfiltered from here")
 		}
-	}
-	cfg := monitor.PipelineConfig{Shards: shards, Predicate: spec.Pred, WindowK: spec.K}
-	var sink monitor.Sink
-	if snap != nil {
 		// The snapshot's predicate is authoritative; cfg's is ignored.
 		sink = snap.Sink(cfg)
-		if warn := predicateOverrideWarning(spec, sink.Predicate(), sink.WindowK()); warn != "" {
+		if warn := predicateOverrideWarning(c.spec, sink.Predicate(), sink.WindowK()); warn != "" {
 			fmt.Fprintln(os.Stderr, "racemon: "+warn)
 		}
 	} else {
 		sink = monitor.NewSink(hdr.Threads, hdr.Decls, cfg)
 	}
 	tel.attach(sink.Obs())
-	if snap != nil {
-		if _, ok := snap.Reader(); !ok {
-			// No byte offset recorded: skip the already-monitored prefix
-			// by count (works for every trace format).
-			for skip := sink.Events(); skip > 0; skip-- {
-				if _, ok, err := tr.Next(); err != nil || !ok {
-					fatalf("resume: trace ends inside the %d already-monitored events (err=%v)", sink.Events(), err)
-				}
-			}
-		}
-	}
 
 	// Completed records whether the run actually observed the end of
 	// the trace (as opposed to stopping at -checkpoint-at — the run
 	// cannot know whether more events follow without reading past the
 	// checkpoint position, which would move the resumable offset).
 	completed := true
-	if ck.at > 0 {
+	if c.ck.at > 0 {
 		// Batch up to a frame's worth short of the stop position, then
 		// step per event so the stop (and the reader checkpoint with its
 		// mid-frame pending events) is exact. 1<<16 is the wire format's
 		// maximum frame event count, so no batch can overshoot the stop.
 		const maxBatch = 1 << 16
 		var buf []monitor.Event
-		for sink.Events()+maxBatch <= ck.at {
+		for sink.Events()+maxBatch <= c.ck.at {
 			batch, ok, err := tr.NextBatch(buf[:0])
 			if err != nil {
 				fatalf("trace: %v", err)
@@ -718,7 +683,7 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, spec pred
 			buf = batch
 		}
 		for {
-			if sink.Events() >= ck.at {
+			if sink.Events() >= c.ck.at {
 				completed = false
 				break
 			}
@@ -731,25 +696,12 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, spec pred
 			}
 			sink.Step(e)
 		}
-	} else {
-		// Batched ingestion: v2 traces decode a frame at a time; v1 and
-		// text are batched by the reader. (An end-of-trace -checkpoint
-		// needs no mid-stream precision, so it takes this path too.)
-		var buf []monitor.Event
-		for {
-			batch, ok, err := tr.NextBatch(buf[:0])
-			if err != nil {
-				fatalf("trace: %v", err)
-			}
-			if !ok {
-				break
-			}
-			sink.StepBatch(batch)
-			buf = batch
-		}
+	} else if err := sink.FeedBatch(src); err != nil {
+		sink.Abort()
+		fatalf("trace: %v", err)
 	}
-	if ck.file != "" {
-		writeSnapshot(ck.file, func(w io.Writer) error {
+	if c.ck.file != "" {
+		writeSnapshot(c.ck.file, func(w io.Writer) error {
 			rck, err := tr.Checkpoint()
 			if err != nil {
 				// Text traces carry no resumable offset; fall back to a
@@ -762,10 +714,16 @@ func runTrace(path string, shards int, resumePath string, ck ckParams, spec pred
 
 	res := result{
 		Program: "trace:" + name, Mode: "trace", Threads: hdr.Threads,
-		Completed: completed, Shards: shards,
+		Completed: completed, Shards: c.shards,
 	}
 	fillLocations(&res, hdr.Decls)
-	return res, finish(&res, sink, start)
+	reports := finish(&res, sink, start)
+	if preg != nil {
+		res.Parsers = c.parsers
+		stats := obs.Merge(*res.Stats, preg.Snapshot())
+		res.Stats = &stats
+	}
+	return res, reports
 }
 
 // predicateOverrideWarning: a checkpoint records its monitor's
@@ -779,101 +737,6 @@ func predicateOverrideWarning(requested predict.Spec, pred monitor.Predicate, k 
 		return ""
 	}
 	return fmt.Sprintf("-predicate %s ignored: the snapshot was taken under %s, which is authoritative on -resume", requested, restored)
-}
-
-// parallelParseDecision decides whether -trace ingest may use the
-// parallel front-end, and returns a warning to print when -parsers > 1
-// has to be dropped: checkpoint/resume rides the sequential reader's
-// byte-offset continuation, which the parallel front-end cannot
-// produce, so combining them silently falling back would hide a real
-// performance cliff from the user.
-func parallelParseDecision(parsers int, resumeFile, checkpointFile string) (parallel bool, warning string) {
-	if parsers <= 1 {
-		return false, ""
-	}
-	var conflict string
-	switch {
-	case resumeFile != "" && checkpointFile != "":
-		conflict = "-resume and -checkpoint"
-	case resumeFile != "":
-		conflict = "-resume"
-	case checkpointFile != "":
-		conflict = "-checkpoint"
-	default:
-		return true, ""
-	}
-	return false, fmt.Sprintf("-parsers %d ignored: %s needs the sequential reader's byte-offset continuation, which the parallel front-end cannot produce; decoding sequentially", parsers, conflict)
-}
-
-// staticFilterDecision decides what to do with -static-prefilter
-// outside the generated modes. The flag analyses the generated
-// program, so with -emit or a plain -trace it is a configuration
-// error. With -trace -resume, though, the natural reading is "resume
-// my prefiltered run" — the mask cannot be reconstructed from a trace
-// (it is derived from the program, which the wire format does not
-// carry), but exiting would make resumption of prefiltered runs
-// impossible, and silently dropping the flag would hide that the
-// resumed half monitors unfiltered. So that combination proceeds with
-// a warning, mirroring the -parsers fallback.
-func staticFilterDecision(prefilter bool, traceFile, emitFile, resumeFile string) (fatal, warning string) {
-	if !prefilter {
-		return "", ""
-	}
-	switch {
-	case emitFile != "":
-		return "-static-prefilter analyses the generated program; it cannot be used with -emit", ""
-	case traceFile != "" && resumeFile == "":
-		return "-static-prefilter analyses the generated program; it cannot be used with -trace", ""
-	case traceFile != "":
-		return "", "-static-prefilter ignored: the filter mask is derived from the generated program and is not recorded in snapshots or traces, so the resumed run monitors unfiltered (reports may include locations the original run skipped)"
-	default:
-		return "", ""
-	}
-}
-
-// runTraceParallel ingests a wire-format trace through the parallel
-// front-end: parsers decode workers feed the ordering sequencer, which
-// feeds a sequential monitor (shards == 1) or the sharded pipeline. v1
-// and text traces fall back to sequential decoding inside the reader.
-func runTraceParallel(path string, shards, parsers int, spec predict.Spec) (result, []race.Report) {
-	var rd io.Reader = os.Stdin
-	name := "stdin"
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		rd, name = f, path
-	}
-	start := time.Now()
-	// The decode workers publish parse.* into their own registry (they
-	// start before the sink exists); /stats and the summary merge it with
-	// the sink's monitor.*/pipeline.* cells.
-	preg := obs.NewRegistry()
-	pr, err := monitor.NewParallelTraceReaderObs(rd, parsers, preg)
-	if err != nil {
-		fatalf("trace: %v", err)
-	}
-	defer pr.Close()
-	tel.attach(preg)
-	hdr := pr.Header()
-	sink := monitor.NewSink(hdr.Threads, hdr.Decls, monitor.PipelineConfig{
-		Shards: shards, Predicate: spec.Pred, WindowK: spec.K})
-	tel.attach(sink.Obs())
-	if err := sink.FeedBatch(pr); err != nil {
-		sink.Abort()
-		fatalf("trace: %v", err)
-	}
-	res := result{
-		Program: "trace:" + name, Mode: "trace", Threads: hdr.Threads,
-		Completed: true, Shards: shards, Parsers: parsers,
-	}
-	fillLocations(&res, hdr.Decls)
-	reports := finish(&res, sink, start)
-	stats := obs.Merge(*res.Stats, preg.Snapshot())
-	res.Stats = &stats
-	return res, reports
 }
 
 // fillLocations tallies a trace header's declarations into the summary.
@@ -891,10 +754,10 @@ func fillLocations(res *result, decls []monitor.LocDecl) {
 }
 
 // runEmit generates a schedule straight into the wire format.
-func runEmit(path string, format monitor.Format, gp genParams) result {
+func runEmit(c config) result {
 	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
+	if c.emitFile != "-" {
+		f, err := os.Create(c.emitFile)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -905,18 +768,17 @@ func runEmit(path string, format monitor.Format, gp genParams) result {
 		}()
 		w = f
 	}
+	gp := c.gen
 	tb, name := gp.program()
 	start := time.Now()
-	n, completed, err := schedgen.Encode(w, tb.Program(), tb, gp.options(), format)
+	n, completed, err := schedgen.Encode(w, tb.Program(), tb, gp.options(), c.format)
 	if err != nil {
 		fatalf("emit: %v", err)
 	}
-	return result{
-		Program: name, Mode: "emit", Threads: tb.Threads(), Policy: gp.policy.String(),
-		Seed: gp.seed, Events: n, Completed: completed, Shards: 1,
-		GenNs:     time.Since(start).Nanoseconds(),
-		Locations: locationsJSON{NonAtomic: gp.locs, Atomic: gp.atomics, RA: gp.ra},
-	}
+	res := gp.summary("emit", name, tb.Threads(), 1)
+	res.Events, res.Completed = n, completed
+	res.GenNs = time.Since(start).Nanoseconds()
+	return res
 }
 
 // finish drains the sink and copies its results into the summary: event
@@ -956,10 +818,7 @@ func fillPredict(res *result, pred monitor.Predicate, k int, ws monitor.WindowSt
 // checkGolden compares (or, with update, rewrites) the deterministic
 // report set against a committed golden file.
 func checkGolden(path string, update bool, reports []race.Report) error {
-	got := goldenDoc{RaceCount: len(reports), Races: []raceJSON{}}
-	for _, r := range reports {
-		got.Races = append(got.Races, toJSON(r))
-	}
+	got := goldenDoc{RaceCount: len(reports), Races: race.ReportsJSON(reports)}
 	if update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -994,18 +853,4 @@ func checkGolden(path string, update bool, reports []race.Report) error {
 			path, got.RaceCount, want.RaceCount, diff)
 	}
 	return nil
-}
-
-func toJSON(r race.Report) raceJSON {
-	return raceJSON{
-		Loc: string(r.Loc), ThreadI: r.ThreadI, ThreadJ: r.ThreadJ,
-		OpI: op(r.WriteI), OpJ: op(r.WriteJ),
-	}
-}
-
-func op(w bool) string {
-	if w {
-		return "write"
-	}
-	return "read"
 }

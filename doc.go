@@ -275,12 +275,14 @@
 // cmd/racemon, cmd/experiments) and the examples directory exercise all
 // of the above; EXPERIMENTS.md records paper-versus-measured results for
 // every table and figure. cmd/racemon generates a million-event schedule
-// (optionally Zipf-skewed: -skew S) and monitors it materialised or
-// fused through the parallel pipeline (-pipeline -shards N), on a
-// single sequential monitor (-stream), and
-// writes/ingests raw traces (-emit FILE [-wire 1|2], -trace FILE|-,
-// decoded by -parsers N workers); its JSON reports the windowed GC's
-// live, peak and collected RA-message counts. cmd/experiments -run
+// (optionally Zipf-skewed: -skew S) and monitors it in one fused pass,
+// never materialising it, on a sequential monitor or, with -shards N,
+// through the parallel pipeline; it also writes and ingests raw traces
+// (-emit FILE [-wire 1|2], -trace FILE|-, decoded by -parsers N
+// workers). Both monitoring modes feed a monitor.Sink and checkpoint
+// alike, and -resume positions the trace with Snapshot.Resume; the JSON
+// summary reports the windowed GC's live, peak and collected
+// RA-message counts. cmd/experiments -run
 // bench emits engine-versus-baseline timings as JSON (BENCH_engine.json)
 // and streaming-monitor throughput (BENCH_monitor.json: events/sec for
 // the sequential, fused, sharded, pipeline-{2,4,8}shard,

@@ -424,15 +424,14 @@ func TestWireResumeParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rck2, ok := s.Reader()
-				if !ok {
+				if _, ok := s.Reader(); !ok {
 					t.Fatal("snapshot lost its reader continuation")
 				}
 				tr2, err := monitor.NewTraceReader(bytes.NewReader(wire.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tr2.Resume(rck2); err != nil {
+				if err := s.Resume(tr2); err != nil {
 					t.Fatalf("seed %d %v k=%d: %v", seed, format, k, err)
 				}
 				m2 := s.Monitor()

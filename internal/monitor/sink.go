@@ -9,7 +9,10 @@ import (
 
 // Sink is the method set a sequential *Monitor and a sharded *Pipeline
 // share: the checker a stream is fed into. Consumers that let the user
-// pick the shard count (racemon, racemond) drive either through it.
+// pick the shard count drive either through it: racemon feeds its
+// generated schedule (StepBatch) or its trace (FeedBatch) into one, and
+// racemond one per session. A resumed sink comes from Snapshot.Sink,
+// with the trace positioned by Snapshot.Resume.
 type Sink interface {
 	Step(Event)
 	StepBatch([]Event)

@@ -140,6 +140,7 @@ type Snapshot struct {
 	m        *Monitor
 	rck      *ReaderCheckpoint
 	filtered bool
+	events   uint64 // monitored events at the checkpoint
 }
 
 // Header returns the thread count and location declarations the snapshot
@@ -161,6 +162,32 @@ func (s *Snapshot) Reader() (ReaderCheckpoint, bool) {
 		return ReaderCheckpoint{}, false
 	}
 	return *s.rck, true
+}
+
+// Resume positions tr where the checkpointed run stopped. The trace must
+// carry the snapshot's header. A snapshot with a reader continuation
+// seeks tr to it (TraceReader.Resume); one without decodes and drops the
+// already-monitored prefix by count, which works for every trace format
+// but needs the trace to be the same event stream. It is an error for
+// the trace to end inside that prefix. Resume may be called before or
+// after the restored state is handed over by Monitor, Pipeline or Sink.
+func (s *Snapshot) Resume(tr *TraceReader) error {
+	if !s.hdr.Equal(tr.Header()) {
+		return fmt.Errorf("monitor: trace resume: the trace header differs from the snapshot's")
+	}
+	if s.rck != nil {
+		return tr.Resume(*s.rck)
+	}
+	for i := uint64(0); i < s.events; i++ {
+		_, ok, err := tr.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("monitor: trace resume: the trace ends inside the %d events the snapshot already monitored", s.events)
+		}
+	}
+	return nil
 }
 
 // take hands over the restored monitor exactly once.
@@ -794,7 +821,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := d.decodeNA(m); err != nil {
 		return nil, err
 	}
-	s := &Snapshot{hdr: hdr, m: m}
+	s := &Snapshot{hdr: hdr, m: m, events: m.events}
 	tag, c, err := d.next()
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"localdrf/internal/prog"
@@ -271,26 +272,48 @@ func encodeStream(t *testing.T, hdr Header, events []Event, format Format) []byt
 	return buf.Bytes()
 }
 
-// TestReaderCheckpointResume: ingest k events from a binary trace, save
-// monitor + reader continuation, then reopen the trace, Resume at the
-// recorded offset and finish — reports and stats must equal a one-shot
-// ingest. Covers v1 (per-event offsets) and v2 (frame offsets with
-// mid-frame pending events), at split points inside and at frame
-// boundaries.
+// TestReaderCheckpointResume: ingest k events from a trace, snapshot the
+// monitor (with or without the reader continuation), then reopen the
+// trace, position it with Snapshot.Resume and finish — reports and stats
+// must equal a one-shot ingest. The continuation rows cover v1
+// (per-event offsets) and v2 (frame offsets with mid-frame pending
+// events), at split points inside and at frame boundaries; the by-count
+// rows skip the monitored prefix in binary and text traces. Resume runs
+// after the monitor has been handed over, as racemond does. A trace with
+// another header, or one ending inside the monitored prefix, must be
+// refused.
 func TestReaderCheckpointResume(t *testing.T) {
 	decls, events := raWorkload(5, 12, 10_000, 17)
 	hdr := Header{Threads: 5, Decls: decls}
-	for _, format := range []Format{Binary, BinaryV2} {
-		data := encodeStream(t, hdr, events, format)
-		want, err := ReadRaces(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+	ref := New(5, decls)
+	want, wantStats, _ := finish(ref, events)
+	splits := []int{0, 1, 3000, 4096, 5000, 8192, 9_999, 10_000}
+	otherHeader := encodeStream(t, Header{Threads: 5, Decls: decls[:1]}, nil, BinaryV2)
+	short := encodeStream(t, hdr, events[:3000], BinaryV2)
+	cases := []struct {
+		name       string
+		format     Format
+		withReader bool
+		splits     []int
+		resumeOver []byte // the trace Resume positions (nil: the same trace)
+		wantErr    string
+	}{
+		{name: "v1 continuation", format: Binary, withReader: true, splits: splits},
+		{name: "v2 continuation", format: BinaryV2, withReader: true, splits: splits},
+		{name: "v2 by count", format: BinaryV2, splits: splits},
+		{name: "text by count", format: Text, splits: splits},
+		{name: "header mismatch", format: BinaryV2, withReader: true, splits: []int{5000},
+			resumeOver: otherHeader, wantErr: "header differs"},
+		{name: "trace shorter than prefix", format: BinaryV2, splits: []int{5000},
+			resumeOver: short, wantErr: "ends inside"},
+	}
+	for _, tc := range cases {
+		data := encodeStream(t, hdr, events, tc.format)
+		resumed := data
+		if tc.resumeOver != nil {
+			resumed = tc.resumeOver
 		}
-		refM, err := MonitorReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{0, 1, 3000, 4096, 5000, 8192, 9_999, 10_000} {
+		for _, k := range tc.splits {
 			tr, err := NewTraceReader(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
@@ -299,45 +322,56 @@ func TestReaderCheckpointResume(t *testing.T) {
 			for i := 0; i < k; i++ {
 				e, ok, err := tr.Next()
 				if err != nil || !ok {
-					t.Fatalf("%v k=%d i=%d: next: ok=%v err=%v", format, k, i, ok, err)
+					t.Fatalf("%s k=%d i=%d: next: ok=%v err=%v", tc.name, k, i, ok, err)
 				}
 				m.Step(e)
 			}
-			rck, err := tr.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
 			var buf bytes.Buffer
-			if err := m.SnapshotWithReader(&buf, rck); err != nil {
+			if tc.withReader {
+				rck, err := tr.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = m.SnapshotWithReader(&buf, rck)
+			} else {
+				err = m.Snapshot(&buf)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			s, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rck2, ok := s.Reader()
-			if !ok {
-				t.Fatal("snapshot lost the reader continuation")
+			if _, ok := s.Reader(); ok != tc.withReader {
+				t.Fatalf("%s k=%d: snapshot has reader continuation = %v", tc.name, k, ok)
 			}
-			tr2, err := NewTraceReader(bytes.NewReader(data))
+			m2 := s.Monitor()
+			tr2, err := NewTraceReader(bytes.NewReader(resumed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr2.Resume(rck2); err != nil {
-				t.Fatalf("%v k=%d: resume: %v", format, k, err)
+			err = s.Resume(tr2)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("%s k=%d: resume error %v, want one mentioning %q", tc.name, k, err, tc.wantErr)
+				}
+				continue
 			}
-			m2 := s.Monitor()
+			if err != nil {
+				t.Fatalf("%s k=%d: resume: %v", tc.name, k, err)
+			}
 			if err := m2.FeedBatch(tr2); err != nil {
-				t.Fatalf("%v k=%d: feed: %v", format, k, err)
+				t.Fatalf("%s k=%d: feed: %v", tc.name, k, err)
 			}
 			if got := m2.Reports(); !race.ReportsEqual(got, want) {
-				t.Fatalf("%v k=%d: resumed ingest diverged\ngot  %v\nwant %v", format, k, got, want)
+				t.Fatalf("%s k=%d: resumed ingest diverged\ngot  %v\nwant %v", tc.name, k, got, want)
 			}
-			if m2.RAStats() != refM.RAStats() {
-				t.Fatalf("%v k=%d: RA stats %+v, want %+v", format, k, m2.RAStats(), refM.RAStats())
+			if m2.RAStats() != wantStats {
+				t.Fatalf("%s k=%d: RA stats %+v, want %+v", tc.name, k, m2.RAStats(), wantStats)
 			}
 			if m2.Events() != uint64(len(events)) {
-				t.Fatalf("%v k=%d: events %d, want %d", format, k, m2.Events(), len(events))
+				t.Fatalf("%s k=%d: events %d, want %d", tc.name, k, m2.Events(), len(events))
 			}
 		}
 	}
@@ -396,12 +430,11 @@ func TestReaderCheckpointMidFrameHalt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		rck2, _ := s.Reader()
 		tr2, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr2.Resume(rck2); err != nil {
+		if err := s.Resume(tr2); err != nil {
 			t.Fatalf("k=%d: resume: %v", k, err)
 		}
 		m2 := s.Monitor()

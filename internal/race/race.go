@@ -141,14 +141,39 @@ type Report struct {
 }
 
 func (r Report) String() string {
-	op := func(w bool) string {
-		if w {
-			return "write"
-		}
-		return "read"
-	}
 	return fmt.Sprintf("race on %s: T%d %s vs T%d %s",
-		r.Loc, r.ThreadI, op(r.WriteI), r.ThreadJ, op(r.WriteJ))
+		r.Loc, r.ThreadI, accessKind(r.WriteI), r.ThreadJ, accessKind(r.WriteJ))
+}
+
+// ReportJSON is the JSON shape of one report, shared by racemon's -json
+// summary and golden files and racemond's done line.
+type ReportJSON struct {
+	Loc     string `json:"loc"`
+	ThreadI int    `json:"thread_i"`
+	ThreadJ int    `json:"thread_j"`
+	OpI     string `json:"op_i"`
+	OpJ     string `json:"op_j"`
+}
+
+// ReportsJSON converts reports to their JSON shape, in order. The result
+// is never nil, so an empty set encodes as [] rather than null.
+func ReportsJSON(reports []Report) []ReportJSON {
+	out := make([]ReportJSON, 0, len(reports))
+	for _, r := range reports {
+		out = append(out, ReportJSON{
+			Loc: string(r.Loc), ThreadI: r.ThreadI, ThreadJ: r.ThreadJ,
+			OpI: accessKind(r.WriteI), OpJ: accessKind(r.WriteJ),
+		})
+	}
+	return out
+}
+
+// accessKind names an access in reports: "write" or "read".
+func accessKind(write bool) string {
+	if write {
+		return "write"
+	}
+	return "read"
 }
 
 // FindRaces explores traces of p and returns the distinct races found

@@ -1,6 +1,7 @@
 package race
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -356,5 +357,26 @@ func TestIsSC(t *testing.T) {
 	}
 	if IsSC(explore.Trace{{Weak: false}, {Weak: true}}) {
 		t.Error("trace with weak transition reported SC")
+	}
+}
+
+// TestReportsJSON pins the report JSON shape that racemon's goldens and
+// racemond's done line share, and that an empty set encodes as [].
+func TestReportsJSON(t *testing.T) {
+	for _, tc := range []struct {
+		reports []Report
+		want    string
+	}{
+		{[]Report{{Loc: "x", ThreadI: 0, ThreadJ: 2, WriteI: true}},
+			`[{"loc":"x","thread_i":0,"thread_j":2,"op_i":"write","op_j":"read"}]`},
+		{nil, `[]`},
+	} {
+		got, err := json.Marshal(ReportsJSON(tc.reports))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("ReportsJSON(%v) = %s, want %s", tc.reports, got, tc.want)
+		}
 	}
 }

@@ -248,7 +248,7 @@ func Encode(w io.Writer, p *prog.Program, tb *monitor.Table, opt Options, format
 // reused buffer of the given size (≤ 0 means 4096) and emit receives
 // each full batch plus the final partial one. This is the fused
 // generate-and-monitor feeding path for consumers with a batch entry
-// point (monitor.Monitor.StepBatch, monitor.Pipeline.StepBatch) — one
+// point (monitor.Sink.StepBatch; cmd/racemon's generate mode) — one
 // callback per batch instead of one per event. The buffer is only valid
 // for the duration of the callback.
 func StreamBatch(p *prog.Program, tb *monitor.Table, opt Options, batch int, emit func([]monitor.Event) error) (bool, error) {
@@ -278,8 +278,8 @@ func StreamBatch(p *prog.Program, tb *monitor.Table, opt Options, batch int, emi
 
 // Stream executes p under the given options, pushing each event to emit
 // as it is produced — the generate-and-feed core that Generate, Encode
-// and StreamBatch wrap, and that cmd/racemon's -stream mode feeds
-// straight into a monitor without buffering the schedule. Generation
+// and StreamBatch wrap, feeding a consumer without buffering the
+// schedule. Generation
 // stops early if emit returns an error (which is returned as-is). The
 // boolean result reports whether the program ran to completion before
 // MaxEvents.

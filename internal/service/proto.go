@@ -41,6 +41,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"localdrf/internal/race"
 )
 
 const (
@@ -222,15 +224,10 @@ func (cw *chunkWriter) End() error {
 	return err
 }
 
-// RaceJSON is one deduplicated race report in the response (the same
-// shape racemon's -json emits).
-type RaceJSON struct {
-	Loc     string `json:"loc"`
-	ThreadI int    `json:"thread_i"`
-	ThreadJ int    `json:"thread_j"`
-	OpI     string `json:"op_i"`
-	OpJ     string `json:"op_j"`
-}
+// RaceJSON is one deduplicated race report in the response. It is
+// race.ReportJSON, the shape racemon's -json emits; the alias keeps the
+// name for code that spells it through this package.
+type RaceJSON = race.ReportJSON
 
 // SessionResult is the final "done" payload of one session: the
 // deterministic outcome of monitoring the whole uploaded trace. For a

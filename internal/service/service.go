@@ -524,23 +524,7 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 		return
 	}
 	if snap != nil {
-		if !snap.Header().Equal(tr.Header()) {
-			s.fail(sess, conn, sk, fmt.Errorf("service: resumed stream has a different header than the session's checkpoint"))
-			return
-		}
-		if rck, hasRck := snap.Reader(); hasRck {
-			err = tr.Resume(rck)
-		} else {
-			// Count-skip: a snapshot without a reader continuation still
-			// resumes — decode and drop the already-monitored prefix.
-			for skip := events; skip > 0 && err == nil; skip-- {
-				var more bool
-				if _, more, err = tr.Next(); err == nil && !more {
-					err = fmt.Errorf("service: replayed stream ends inside the %d already-monitored events", events)
-				}
-			}
-		}
-		if err != nil {
+		if err := snap.Resume(tr); err != nil {
 			s.fail(sess, conn, sk, err)
 			return
 		}
@@ -586,12 +570,9 @@ func (s *Server) ingest(sess *session, conn net.Conn, br *bufio.Reader) {
 	st := sk.RAStats()
 	res := SessionResult{
 		Session: sess.id, Events: sk.Events(), RaceCount: len(reports),
-		Races:  make([]RaceJSON, 0, len(reports)),
+		Races:  race.ReportsJSON(reports),
 		RALive: st.Live, RAPeak: st.Peak, RACollected: st.Collected,
 		Resumed: sess.resumed,
-	}
-	for _, r := range reports {
-		res.Races = append(res.Races, toRaceJSON(r))
 	}
 	events = res.Events
 	// Completion is recorded BEFORE the done line: the client returns as
@@ -636,18 +617,4 @@ func (s *Server) fail(sess *session, conn net.Conn, sk monitor.Sink, err error) 
 		conn.SetWriteDeadline(time.Now().Add(time.Second))
 		fmt.Fprintf(conn, "err %v\n", err)
 	}
-}
-
-func toRaceJSON(r race.Report) RaceJSON {
-	return RaceJSON{
-		Loc: string(r.Loc), ThreadI: r.ThreadI, ThreadJ: r.ThreadJ,
-		OpI: opName(r.WriteI), OpJ: opName(r.WriteJ),
-	}
-}
-
-func opName(w bool) string {
-	if w {
-		return "write"
-	}
-	return "read"
 }

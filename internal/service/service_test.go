@@ -13,6 +13,7 @@ import (
 	"localdrf/internal/faultinject"
 	"localdrf/internal/monitor"
 	"localdrf/internal/progsynth"
+	"localdrf/internal/race"
 	"localdrf/internal/schedgen"
 )
 
@@ -63,11 +64,8 @@ func referenceResult(t testing.TB, session string, trace []byte) SessionResult {
 	st := m.RAStats()
 	res := SessionResult{
 		Session: session, Events: m.Events(), RaceCount: len(reports),
-		Races:  make([]RaceJSON, 0, len(reports)),
+		Races:  race.ReportsJSON(reports),
 		RALive: st.Live, RAPeak: st.Peak, RACollected: st.Collected,
-	}
-	for _, r := range reports {
-		res.Races = append(res.Races, toRaceJSON(r))
 	}
 	return res
 }
