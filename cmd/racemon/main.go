@@ -10,7 +10,7 @@
 //	        [-seed S] [-shards M] [-locs L] [-atomics A] [-ra R]
 //	        [-stale PCT] [-skew S] [-halts] [-json]
 //	        [-predicate hb|syncp|short:k] [-trace FILE|-]
-//	        [-parsers N] [-emit FILE] [-format binary|text] [-wire 1|2]
+//	        [-parsers N] [-emit FILE] [-format binary|text]
 //	        [-golden FILE] [-update-golden] [-checkpoint FILE]
 //	        [-checkpoint-at N] [-resume FILE] [-stats-addr ADDR]
 //	        [-stats-interval DUR] [-stats-linger DUR]
@@ -25,20 +25,19 @@
 //	           two-stage parallel pipeline (one sync front-end pass, M
 //	           race back-ends). Reports are identical at any shard count.
 //	           monitor_ns and events/sec include generation.
-//	-trace F   ingest a raw trace (binary v1/v2 or text wire format,
-//	           sniffed automatically) from file F, or from stdin with
-//	           "-", and monitor it in one bounded-memory pass (v2
-//	           frames are decoded and fed a batch at a time).
+//	-trace F   ingest a raw trace (binary or text wire format, sniffed
+//	           automatically) from file F, or from stdin with "-", and
+//	           monitor it in one bounded-memory pass (binary frames are
+//	           decoded and fed a batch at a time).
 //	           Generation flags are ignored.
 //	-emit F    generate the schedule and write it to F in the wire
-//	           format (-format binary|text; -wire selects the binary
-//	           version, default 2 = delta-compressed frames) without
-//	           monitoring — the producer side of -trace. Only this mode
-//	           reports gen_ns.
+//	           format (-format binary, the default delta-compressed
+//	           frames, or text) without monitoring — the producer side
+//	           of -trace. Only this mode reports gen_ns.
 //
 // -halts appends a thread-retirement event when a generated thread runs
-// to completion (wire v2/text and the monitor understand it; it never
-// changes reports, only RA retention).
+// to completion (both wire formats and the monitor understand it; it
+// never changes reports, only RA retention).
 //
 // -predicate selects the race predicate the monitor decides (see
 // internal/monitor's predictive-detection overview): "hb" (the
@@ -58,8 +57,8 @@
 // -skew S redirects each generated nonatomic access to a location drawn
 // from a Zipf distribution with exponent S (0 = uniform, the default) —
 // hot-location workloads for the sharded pipeline. -parsers N decodes a
-// -trace's v2 frames on N parallel workers feeding the ordering
-// sequencer; it falls back to the sequential decoder for v1/text traces,
+// -trace's binary frames on N parallel workers feeding the ordering
+// sequencer; it falls back to the sequential decoder for text traces,
 // and, with a warning, for runs that checkpoint or resume (the reader
 // continuation is a sequential-decoder construct).
 //
@@ -69,11 +68,12 @@
 // after exactly the N-th monitored event, stopping there. Both
 // monitoring modes checkpoint. -resume FILE (with -trace) restores the
 // snapshot and continues over the trace: a checkpoint taken by -trace
-// carries the reader's byte offset and v2 delta context, so the resumed
-// run seeks straight to where monitoring stopped; a checkpoint of a
-// generated run carries no offset, so the resumed run skips the
-// already-monitored prefix by count (the trace must therefore be the
-// same event stream, e.g. the -emit of the same seed and parameters).
+// over a binary trace carries the reader's byte offset and delta
+// context, so the resumed run seeks straight to where monitoring
+// stopped; a checkpoint of a generated run or of a text trace carries
+// no offset, so the resumed run skips the already-monitored prefix by
+// count (the trace must therefore be the same event stream, e.g. the
+// -emit of the same seed and parameters).
 // Resuming with -shards M > 1 routes every restored location's state to
 // the back-end owning it. The resumed report set is byte-identical to a
 // run that never stopped. A snapshot records whether its run had a
@@ -100,7 +100,6 @@
 //	racemon -shards 4 -events 5000000 -json
 //	racemon -events 5000000 -checkpoint ck.ldck -checkpoint-at 2500000
 //	racemon -emit trace.bin -events 100000 && racemon -trace trace.bin
-//	racemon -emit trace.bin -wire 1 -events 100000   # v1 for old readers
 //	racemon -emit - -format text -events 50 -threads 2 | head
 //	racemon -trace - < trace.bin
 //	racemon -trace trace.bin -checkpoint ck.ldck -checkpoint-at 50000
@@ -239,14 +238,13 @@ func parseConfig(args []string) (config, []string, error) {
 	staticPrefilter := fs.Bool("static-prefilter", false, "run the sound static may-race analysis over the generated program and skip checker work for certified locations (report set unchanged)")
 	privateLocs := fs.Int("private-locs", 0, "thread-private nonatomic locations per thread (certifiable by -static-prefilter)")
 	privatePct := fs.Int("private-pct", 0, "percent of nonatomic data traffic redirected to the accessing thread's private pool")
-	parsers := fs.Int("parsers", 1, "parallel trace-decode workers for -trace (v2 traces; ≥ 2 enables the parallel front-end)")
+	parsers := fs.Int("parsers", 1, "parallel trace-decode workers for -trace (binary traces; ≥ 2 enables the parallel front-end)")
 	asJSON := fs.Bool("json", false, "emit a JSON summary")
 	maxRaces := fs.Int("max-races", 20, "race reports listed in the output (0 = all)")
 	halts := fs.Bool("halts", false, "emit thread-retirement events when generated threads complete")
 	traceFile := fs.String("trace", "", "monitor a wire-format trace from FILE ('-' = stdin) instead of generating")
 	emitFile := fs.String("emit", "", "generate and write the wire-format trace to FILE ('-' = stdout) instead of monitoring")
 	formatS := fs.String("format", "binary", "wire format for -emit: binary|text")
-	wire := fs.Int("wire", 2, "binary wire version for -emit: 1 (per-event) or 2 (delta-compressed frames)")
 	golden := fs.String("golden", "", "compare the deterministic report set against this golden JSON file")
 	updateGolden := fs.Bool("update-golden", false, "rewrite the -golden file instead of comparing")
 	checkpointFile := fs.String("checkpoint", "", "write a monitor snapshot to FILE (at end of run, or at -checkpoint-at)")
@@ -280,7 +278,6 @@ func parseConfig(args []string) (config, []string, error) {
 			"-events, -threads, -locs and -shards must be ≥ 1 (-atomics/-ra ≥ 0)"},
 		{*parsers < 1, "-parsers must be ≥ 1"},
 		{*skew < 0, "-skew must be ≥ 0"},
-		{*wire != 1 && *wire != 2, "-wire must be 1 or 2"},
 		{trace && emit, "-trace and -emit are mutually exclusive"},
 		{resume && !trace, "-resume continues over a recorded trace; it needs -trace FILE"},
 		{*checkpointAt > 0 && !ck, "-checkpoint-at needs -checkpoint FILE"},
@@ -330,9 +327,6 @@ func parseConfig(args []string) (config, []string, error) {
 		}
 	}
 
-	if format == monitor.Binary && *wire == 2 {
-		format = monitor.BinaryV2
-	}
 	cfg := config{
 		gen: genParams{
 			policy: pol, seed: *seed, events: *events, threads: *threads,
@@ -591,8 +585,8 @@ func runGenerate(c config) (result, []race.Report) {
 // sequential monitor, or the pipeline when -shards > 1, optionally
 // resuming from a snapshot and/or checkpointing mid-ingest. With
 // -parsers ≥ 2 (which parseConfig allows only without -resume and
-// -checkpoint) the parallel front-end decodes the trace; v1 and text
-// traces fall back to sequential decoding inside that reader.
+// -checkpoint) the parallel front-end decodes the trace; text traces
+// fall back to sequential decoding inside that reader.
 func runTrace(c config) (result, []race.Report) {
 	var rd io.Reader = os.Stdin
 	name := "stdin"

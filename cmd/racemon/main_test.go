@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
@@ -57,8 +58,8 @@ func TestParseConfig(t *testing.T) {
 			return c.gen.events == 1_000_000 && c.shards == 1 && c.parsers == 1 &&
 				c.format == monitor.BinaryV2 && c.spec.Pred == monitor.PredHB
 		}},
-		{name: "wire 1 keeps v1", args: []string{"-emit", "t", "-wire", "1"},
-			check: func(c config) bool { return c.format == monitor.Binary }},
+		{name: "format binary is v2", args: []string{"-emit", "t", "-format", "binary"},
+			check: func(c config) bool { return c.format == monitor.BinaryV2 }},
 		{name: "text format", args: []string{"-emit", "t", "-format", "text"},
 			check: func(c config) bool { return c.format == monitor.Text }},
 		{name: "predicate parsed", args: []string{"-predicate", "short:64"},
@@ -75,7 +76,7 @@ func TestParseConfig(t *testing.T) {
 		{name: "negative ra", args: []string{"-ra", "-1"}, errHas: "-ra ≥ 0"},
 		{name: "zero parsers", args: []string{"-parsers", "0"}, errHas: "-parsers must be ≥ 1"},
 		{name: "negative skew", args: []string{"-skew", "-1"}, errHas: "-skew must be ≥ 0"},
-		{name: "bad wire", args: []string{"-wire", "3"}, errHas: "-wire must be 1 or 2"},
+		{name: "wire flag removed", args: []string{"-emit", "t", "-wire", "1"}, errHas: "-wire"},
 		{name: "trace and emit", args: []string{"-trace", "t", "-emit", "u"}, errHas: "mutually exclusive"},
 		{name: "resume needs trace", args: []string{"-resume", "s"}, errHas: "needs -trace"},
 		{name: "checkpoint-at needs checkpoint", args: []string{"-checkpoint-at", "5"}, errHas: "needs -checkpoint"},
@@ -174,6 +175,46 @@ func TestParsersCheckpointWarningCLI(t *testing.T) {
 	// The parallel decoders' parse.* registry is merged into the summary.
 	if !strings.Contains(string(out), `"parse.frames"`) {
 		t.Fatalf("summary lacks the parallel decoders' parse.* stats:\n%s", out)
+	}
+}
+
+// TestWireFormatCLI runs the real binary: -format binary writes exactly
+// the bytes of a default -emit (a binary v2 trace), and the removed -wire
+// flag is an unknown flag (exit 2).
+func TestWireFormatCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildRacemon(t)
+	dir := t.TempDir()
+	def, explicit := filepath.Join(dir, "default.ldtr"), filepath.Join(dir, "binary.ldtr")
+	for _, args := range [][]string{
+		{"-events", "2000", "-emit", def},
+		{"-events", "2000", "-emit", explicit, "-format", "binary"},
+	} {
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("racemon %v: %v\n%s", args, err, out)
+		}
+	}
+	a, err := os.ReadFile(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) || !bytes.HasPrefix(a, []byte("LDTR\x02")) {
+		t.Fatalf("-format binary (%d bytes) differs from the default v2 emit (%d bytes)", len(b), len(a))
+	}
+
+	cmd := exec.Command(bin, "-events", "2000", "-emit", filepath.Join(dir, "v1.ldtr"), "-wire", "1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "-wire") {
+		t.Fatalf("-wire 1: err=%v, want exit 2 naming the flag\n%s", err, stderr.String())
 	}
 }
 

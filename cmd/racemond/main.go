@@ -30,11 +30,17 @@
 //
 // -stats-addr serves GET /stats (aggregate + ?session=ID views; see
 // service.StatsHandler) plus expvar and pprof.
+//
+// Flag rules live in parseConfig's error table: counts and durations
+// must be positive (-atomics/-ra and -stale may be 0), -update-golden
+// needs -golden, and -golden and -json need -drive. A command line that
+// breaks one exits 2.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -60,69 +66,131 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:7341", "listen address (serve mode) or server address (-drive)")
-	ckptDir := flag.String("ckpt", "", "checkpoint-ring root directory ('' = no checkpointing)")
-	ckptEvery := flag.Uint64("ckpt-every", 100_000, "checkpoint a session every N monitored events")
-	ckptRing := flag.Int("ckpt-ring", 3, "snapshot generations kept per session")
-	maxSessions := flag.Int("max-sessions", 64, "concurrently attached session cap (excess gets busy retry-after)")
-	shards := flag.Int("shards", 1, "race back-ends per session (1 = sequential monitor)")
-	readTimeout := flag.Duration("read-timeout", 10*time.Second, "per-read ingest deadline (slow-loris bound)")
-	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "evict detached session bookkeeping after this idle time")
-	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint sent with busy rejections")
-	statsAddr := flag.String("stats-addr", "", "serve /stats, expvar and pprof on this address")
-	quiet := flag.Bool("quiet", false, "suppress per-session log lines")
+// config is a validated command line: the server's configuration, or,
+// when drive.n > 0, the load driver's parameters.
+type config struct {
+	addr      string
+	serve     service.Config
+	statsAddr string
+	quiet     bool
+	drive     driveParams
+}
 
-	drive := flag.Int("drive", 0, "client mode: stream N concurrent generated sessions and print their results")
-	events := flag.Int("events", 250_000, "-drive: schedule length per session")
-	threads := flag.Int("threads", 8, "-drive: thread count of the generated programs")
-	policy := flag.String("policy", "bursty", "-drive: scheduling policy fair|unfair|bursty")
-	seedBase := flag.Int64("seed-base", 1, "-drive: session i uses seed seed-base+i")
-	locs := flag.Int("locs", 48, "-drive: nonatomic location count")
-	atomics := flag.Int("atomics", 8, "-drive: atomic location count")
-	ra := flag.Int("ra", 8, "-drive: release-acquire location count")
-	stale := flag.Int("stale", 10, "-drive: percent of stale reads")
-	halts := flag.Bool("halts", false, "-drive: emit thread-retirement events")
-	attempts := flag.Int("attempts", 30, "-drive: connection attempts per session (rides through restarts)")
-	backoff := flag.Duration("backoff", 100*time.Millisecond, "-drive: initial retry backoff")
-	asJSON := flag.Bool("json", false, "-drive: emit the results as JSON (default: a summary line)")
-	golden := flag.String("golden", "", "-drive: compare the deterministic results against this golden JSON")
-	updateGolden := flag.Bool("update-golden", false, "-drive: rewrite the -golden file instead of comparing")
-	flag.Parse()
+// parseConfig parses and validates the command line. Every flag rule is
+// a row of its error table; a command line that breaks one is refused
+// (racemond exits 2) rather than run with a value that silently means
+// something else.
+func parseConfig(args []string) (config, error) {
+	fs := flag.NewFlagSet("racemond", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:7341", "listen address (serve mode) or server address (-drive)")
+	ckptDir := fs.String("ckpt", "", "checkpoint-ring root directory ('' = no checkpointing)")
+	ckptEvery := fs.Uint64("ckpt-every", 100_000, "checkpoint a session every N monitored events")
+	ckptRing := fs.Int("ckpt-ring", 3, "snapshot generations kept per session")
+	maxSessions := fs.Int("max-sessions", 64, "concurrently attached session cap (excess gets busy retry-after)")
+	shards := fs.Int("shards", 1, "race back-ends per session (1 = sequential monitor)")
+	readTimeout := fs.Duration("read-timeout", 10*time.Second, "per-read ingest deadline (slow-loris bound)")
+	idleTimeout := fs.Duration("idle-timeout", 5*time.Minute, "evict detached session bookkeeping after this idle time")
+	retryAfter := fs.Duration("retry-after", time.Second, "backoff hint sent with busy rejections")
+	statsAddr := fs.String("stats-addr", "", "serve /stats, expvar and pprof on this address")
+	quiet := fs.Bool("quiet", false, "suppress per-session log lines")
 
-	if *drive > 0 {
-		runDrive(driveParams{
+	drive := fs.Int("drive", 0, "client mode: stream N concurrent generated sessions and print their results")
+	events := fs.Int("events", 250_000, "-drive: schedule length per session")
+	threads := fs.Int("threads", 8, "-drive: thread count of the generated programs")
+	policy := fs.String("policy", "bursty", "-drive: scheduling policy fair|unfair|bursty")
+	seedBase := fs.Int64("seed-base", 1, "-drive: session i uses seed seed-base+i")
+	locs := fs.Int("locs", 48, "-drive: nonatomic location count")
+	atomics := fs.Int("atomics", 8, "-drive: atomic location count")
+	ra := fs.Int("ra", 8, "-drive: release-acquire location count")
+	stale := fs.Int("stale", 10, "-drive: percent of stale reads")
+	halts := fs.Bool("halts", false, "-drive: emit thread-retirement events")
+	attempts := fs.Int("attempts", 30, "-drive: connection attempts per session (rides through restarts)")
+	backoff := fs.Duration("backoff", 100*time.Millisecond, "-drive: initial retry backoff")
+	asJSON := fs.Bool("json", false, "-drive: emit the results as JSON (default: a summary line)")
+	golden := fs.String("golden", "", "-drive: compare the deterministic results against this golden JSON")
+	updateGolden := fs.Bool("update-golden", false, "-drive: rewrite the -golden file instead of comparing")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+
+	pol, err := schedgen.ParsePolicy(*policy)
+	if err != nil {
+		return config{}, err
+	}
+	errorRules := []struct {
+		broken bool
+		msg    string
+	}{
+		{*ckptEvery < 1 || *ckptRing < 1, "-ckpt-every and -ckpt-ring must be ≥ 1"},
+		{*maxSessions < 1, "-max-sessions must be ≥ 1"},
+		{*shards < 1, "-shards must be ≥ 1"},
+		{*readTimeout <= 0 || *idleTimeout <= 0 || *retryAfter <= 0,
+			"-read-timeout, -idle-timeout and -retry-after must be > 0"},
+		{*drive < 0, "-drive must be ≥ 0"},
+		{*events < 1 || *threads < 1 || *locs < 1 || *atomics < 0 || *ra < 0,
+			"-events, -threads and -locs must be ≥ 1 (-atomics/-ra ≥ 0)"},
+		{*stale < 0 || *stale > 100, "-stale must be in 0..100"},
+		{*attempts < 1 || *backoff <= 0, "-attempts must be ≥ 1 and -backoff > 0"},
+		{*updateGolden && *golden == "", "-update-golden needs -golden FILE"},
+		{*golden != "" && *drive == 0, "-golden compares drive results; it needs -drive N"},
+		{*asJSON && *drive == 0, "-json prints drive results; it needs -drive N"},
+	}
+	for _, r := range errorRules {
+		if r.broken {
+			return config{}, errors.New(r.msg)
+		}
+	}
+	return config{
+		addr: *addr,
+		serve: service.Config{
+			CheckpointDir:   *ckptDir,
+			CheckpointEvery: *ckptEvery,
+			CheckpointRing:  *ckptRing,
+			MaxSessions:     *maxSessions,
+			Shards:          *shards,
+			ReadTimeout:     *readTimeout,
+			IdleTimeout:     *idleTimeout,
+			RetryAfter:      *retryAfter,
+		},
+		statsAddr: *statsAddr,
+		quiet:     *quiet,
+		drive: driveParams{
 			addr: *addr, n: *drive, events: *events, threads: *threads,
-			policy: *policy, seedBase: *seedBase, locs: *locs, atomics: *atomics,
+			policy: pol, seedBase: *seedBase, locs: *locs, atomics: *atomics,
 			ra: *ra, stale: *stale, halts: *halts, attempts: *attempts,
 			backoff: *backoff, asJSON: *asJSON, golden: *golden, update: *updateGolden,
-		})
+		},
+	}, nil
+}
+
+func main() {
+	c, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "racemond: "+err.Error())
+		os.Exit(2)
+	}
+	if c.drive.n > 0 {
+		runDrive(c.drive)
 		return
 	}
 
-	cfg := service.Config{
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		CheckpointRing:  *ckptRing,
-		MaxSessions:     *maxSessions,
-		Shards:          *shards,
-		ReadTimeout:     *readTimeout,
-		IdleTimeout:     *idleTimeout,
-		RetryAfter:      *retryAfter,
-	}
-	if !*quiet {
+	cfg := c.serve
+	if !c.quiet {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "racemond: "+format+"\n", args...)
 		}
 	}
 	srv := service.New(cfg)
-	if *statsAddr != "" {
+	if c.statsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/stats", srv.StatsHandler())
 		mux.Handle("/debug/vars", expvar.Handler())
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		go func() {
-			if err := http.ListenAndServe(*statsAddr, mux); err != nil {
+			if err := http.ListenAndServe(c.statsAddr, mux); err != nil {
 				fmt.Fprintf(os.Stderr, "racemond: stats endpoint: %v\n", err)
 			}
 		}()
@@ -135,8 +203,8 @@ func main() {
 		srv.Close()
 	}()
 	fmt.Fprintf(os.Stderr, "racemond: serving on %s (ckpt=%q every=%d ring=%d max-sessions=%d shards=%d)\n",
-		*addr, *ckptDir, *ckptEvery, *ckptRing, *maxSessions, *shards)
-	if err := srv.ListenAndServe(*addr); err != nil {
+		c.addr, cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointRing, cfg.MaxSessions, cfg.Shards)
+	if err := srv.ListenAndServe(c.addr); err != nil {
 		fatalf("%v", err)
 	}
 }
@@ -148,7 +216,7 @@ type driveParams struct {
 	n        int
 	events   int
 	threads  int
-	policy   string
+	policy   schedgen.Policy
 	seedBase int64
 	locs     int
 	atomics  int
@@ -186,10 +254,6 @@ type goldenSession struct {
 
 // genTrace encodes session i's deterministic wire-v2 trace.
 func (dp driveParams) genTrace(i int) []byte {
-	pol, err := schedgen.ParsePolicy(dp.policy)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	seed := dp.seedBase + int64(i)
 	cfg := progsynth.ScaledDefaults()
 	cfg.Threads = dp.threads
@@ -201,7 +265,7 @@ func (dp driveParams) genTrace(i int) []byte {
 	tb := monitor.NewTable(p)
 	var buf bytes.Buffer
 	opts := schedgen.Options{
-		Policy: pol, Seed: seed, MaxEvents: dp.events,
+		Policy: dp.policy, Seed: seed, MaxEvents: dp.events,
 		StaleReadPct: dp.stale, EmitHalts: dp.halts,
 	}
 	if _, _, err := schedgen.Encode(&buf, tb.Program(), tb, opts, monitor.BinaryV2); err != nil {

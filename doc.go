@@ -67,8 +67,8 @@
 // synchronisation window rather than the trace length — O(events ×
 // threads) time worst case, O(locations + threads²) space until
 // histories actually race. Traces are ingested three ways: converted
-// machine traces (monitor.Table), a pull Source, or the versioned raw
-// wire format (binary and text) whose validating decoder monitors
+// machine traces (monitor.Table), a pull BatchSource, or the versioned
+// raw wire format (binary and text) whose validating decoder monitors
 // executions recorded outside the process (MonitorTraceReader). The
 // monitor is fed by internal/schedgen, which executes scaled-up random
 // programs (progsynth.Scaled: many threads looping over many locations,
@@ -90,8 +90,8 @@
 //	              parser N ─┘  FIFO sequencing) (sequencer)    └─▶ race back-end M
 //
 // On the left, the delta-compressed framed v2 wire format (varint
-// thread/location/timestamp deltas; ≥1.5× smaller than v1 on the
-// reference stream; v1 traces still decode) is decoded by N parser
+// thread/location/timestamp deltas; ≥1.5× smaller than the retired
+// per-event v1 encoding on the reference stream) is decoded by N parser
 // workers (monitor.ParallelTraceReader): frames are self-delimiting, so
 // the structural work — tag and varint extraction, the bulk of decode
 // cost — runs fully in parallel, while the per-frame delta context
@@ -131,7 +131,7 @@
 // process or under another configuration. monitor.Monitor.Snapshot
 // serialises the complete live state — thread and release clocks,
 // epoch-or-vector per-location last-access state, dedup bitmasks, live
-// RA messages, the GC frontier/interval/adaptive bounds and the halt
+// RA messages, the GC frontier and interval and the halt
 // set — in a versioned, self-describing framed binary format ("LDCK");
 // monitor.Restore rebuilds a monitor that finishes the stream with
 // reports and RAStats byte-identical to a run that never stopped. The
@@ -154,7 +154,7 @@
 // malformed input — fuzzed, like the trace decoder. The metamorphic
 // split-resume harness in internal/modeltest proves parity at every
 // grid split point of all 210 schedgen streams (every tenth seed
-// Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default, adaptive}
+// Zipf-skewed) across the {1,2,4,8}-shard × {GC-16, default}
 // matrix, including double splits, cross-config resumes, and
 // checkpoints taken by pipelines, which are byte-identical to the
 // sequential monitor's.
@@ -265,7 +265,7 @@
 // The monitor's verdicts are differentially tested against the
 // exhaustive oracle race.Races on every corpus program, on hundreds of
 // random programs, and on hundreds of generated schedules — at every GC
-// interval (fixed and adaptive) and across the full pipeline
+// interval and across the full pipeline
 // (shards × batch × GC) matrix, with the parallel
 // wire-format reader round-tripping at {1,2,4} parsers; cmd/racemon
 // exposes the checkpoint workflow as -checkpoint FILE [-checkpoint-at
@@ -278,7 +278,7 @@
 // (optionally Zipf-skewed: -skew S) and monitors it in one fused pass,
 // never materialising it, on a sequential monitor or, with -shards N,
 // through the parallel pipeline; it also writes and ingests raw traces
-// (-emit FILE [-wire 1|2], -trace FILE|-, decoded by -parsers N
+// (-emit FILE [-format binary|text], -trace FILE|-, decoded by -parsers N
 // workers). Both monitoring modes feed a monitor.Sink and checkpoint
 // alike, and -resume positions the trace with Snapshot.Resume; the JSON
 // summary reports the windowed GC's live, peak and collected
@@ -299,7 +299,7 @@
 // host; -run bench-plot renders the events/sec trajectory across bench
 // JSON snapshots as a dependency-free small-multiples SVG (a CI
 // artifact). CI also fails if any racemon smoke run's report set —
-// including the pipeline at 4 back-ends and both wire-version round
-// trips — drifts from the committed golden, and curls a live racemon
+// including the pipeline at 4 back-ends and the binary and text wire
+// round trips — drifts from the committed golden, and curls a live racemon
 // -stats-addr endpoint to assert the telemetry keys it ships.
 package localdrf

@@ -28,33 +28,22 @@ import (
 // monitors and pipeline front-ends.
 type gcMode struct {
 	name     string
-	interval uint64 // fixed interval when > 0
-	amin     uint64 // adaptive bounds when amax > 0
-	amax     uint64
+	interval uint64 // fixed interval when > 0; 0 keeps the default
 }
 
 var gcModes = []gcMode{
 	{name: "gc16", interval: 16},
 	{name: "default"},
-	{name: "adaptive", amin: 16, amax: 4096},
 }
 
 func (g gcMode) applyMonitor(m *monitor.Monitor) {
-	switch {
-	case g.amax > 0:
-		m.SetAdaptiveGC(g.amin, g.amax)
-	case g.interval > 0:
+	if g.interval > 0 {
 		m.SetGCInterval(g.interval)
 	}
 }
 
 func (g gcMode) pipelineConfig(shards int) monitor.PipelineConfig {
-	return monitor.PipelineConfig{
-		Shards:        shards,
-		GCInterval:    g.interval,
-		AdaptiveGCMin: g.amin,
-		AdaptiveGCMax: g.amax,
-	}
+	return monitor.PipelineConfig{Shards: shards, GCInterval: g.interval}
 }
 
 // outcome is the observable state a split must preserve exactly.
@@ -136,7 +125,7 @@ func splitGrid(n int) []int {
 // TestSplitResumeParity is the full metamorphic sweep: 210 schedgen
 // streams (70 seeds × 3 policies, stale reads, halts on a third of the
 // seeds, Zipf location skew on every tenth seed) × every grid split
-// point × {1,2,4,8} shards × {GC-16, default, adaptive} — run-to-k → snapshot → restore → finish must reproduce the
+// point × {1,2,4,8} shards × {GC-16, default} — run-to-k → snapshot → restore → finish must reproduce the
 // unsplit outcome exactly. Sequential checkpoints resume into pipelines
 // at every shard count (the shards=1 row is the degenerate-path
 // regression), which also makes every row a cross-mode resume proof.
@@ -295,8 +284,8 @@ func TestDoubleSplitResume(t *testing.T) {
 }
 
 // TestCrossConfigResume: a checkpoint taken under one GC regime resumes
-// under another — snapshot under fixed GC-16, resume under adaptive GC
-// (and the reverse) — and the REPORT set still matches the unsplit run
+// under another — snapshot under GC-16, resume under a lazy GC-4096 (and
+// the default under GC-16) — and the REPORT set still matches the unsplit run
 // exactly. (Retention telemetry legitimately differs across regimes, so
 // only reports are compared; the no-op-join invariant is what makes the
 // report set interval-schedule-independent.)
@@ -322,9 +311,8 @@ func TestCrossConfigResume(t *testing.T) {
 			want := runSeq(tb.Threads(), tb.Decls(), events, gcMode{})
 			k := len(events) / 2
 			pairs := []struct{ at, resume gcMode }{
-				{gcModes[0], gcModes[2]}, // GC-16 → adaptive
-				{gcModes[2], gcModes[0]}, // adaptive → GC-16
-				{gcModes[1], gcModes[0]}, // default → GC-16
+				{gcModes[0], gcMode{name: "gc4096", interval: 4096}}, // GC-16 → lazy
+				{gcModes[1], gcModes[0]},                             // default → GC-16
 			}
 			for _, pair := range pairs {
 				snap := snapshotSeq(t, tb.Threads(), tb.Decls(), events, k, pair.at)
@@ -355,12 +343,12 @@ func TestCrossConfigResume(t *testing.T) {
 	}
 }
 
-// TestWireResumeParity: the end-to-end crash-resume story over the wire
-// formats — encode a schedgen stream (v1 and v2), ingest to k through a
+// TestWireResumeParity: the end-to-end crash-resume story over the binary
+// wire format — encode a schedgen stream, ingest to k through a
 // TraceReader, checkpoint monitor + reader, then reopen the trace,
 // Resume at the recorded byte offset and finish: reports, stats and
 // event counts must equal the one-shot ingest. Split points are chosen
-// to land mid-frame for v2 (pending events ride the snapshot).
+// to land mid-frame (pending events ride the snapshot).
 func TestWireResumeParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("split-resume sweep skipped in -short mode")
@@ -368,7 +356,7 @@ func TestWireResumeParity(t *testing.T) {
 	// Short per-thread programs (Iters 4 ≈ 170 events total < MaxEvents),
 	// so every thread RUNS TO COMPLETION and EmitHalts really emits halt
 	// events — checkpoints on halt-carrying streams then land both before
-	// and after halts, and (v2) mid-frame with a pending pre-halt access
+	// and after halts, and mid-frame with a pending pre-halt access
 	// of an already-decoded halt. A long-program config here would never
 	// halt within the event budget and silently skip that coverage.
 	cfg := progsynth.ScaledConfig{
@@ -380,70 +368,65 @@ func TestWireResumeParity(t *testing.T) {
 		p := progsynth.Scaled(seed, cfg)
 		tb := monitor.NewTable(p)
 		halts := seed%2 == 0
-		for _, format := range []monitor.Format{monitor.Binary, monitor.BinaryV2} {
-			if halts && format == monitor.Binary {
-				continue // the frozen v1 grammar has no halt events
-			}
-			var wire bytes.Buffer
-			n, completed, err := schedgen.Encode(&wire, p, tb, schedgen.Options{
-				Policy: schedgen.Bursty, Seed: seed * 17, MaxEvents: 260, StaleReadPct: 30,
-				EmitHalts: halts,
-			}, format)
+		var wire bytes.Buffer
+		n, completed, err := schedgen.Encode(&wire, p, tb, schedgen.Options{
+			Policy: schedgen.Bursty, Seed: seed * 17, MaxEvents: 260, StaleReadPct: 30,
+			EmitHalts: halts,
+		}, monitor.BinaryV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if halts && !completed {
+			t.Fatalf("seed %d: halt fixture did not run to completion — no halts emitted", seed)
+		}
+		ref, err := monitor.MonitorReader(bytes.NewReader(wire.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range splitGrid(n) {
+			tr, err := monitor.NewTraceReader(bytes.NewReader(wire.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if halts && !completed {
-				t.Fatalf("seed %d: halt fixture did not run to completion — no halts emitted", seed)
+			m := tr.NewMonitor()
+			for i := 0; i < k; i++ {
+				e, ok, err := tr.Next()
+				if err != nil || !ok {
+					t.Fatalf("seed %d k=%d: short trace (i=%d ok=%v err=%v)", seed, k, i, ok, err)
+				}
+				m.Step(e)
 			}
-			ref, err := monitor.MonitorReader(bytes.NewReader(wire.Bytes()))
+			rck, err := tr.Checkpoint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range splitGrid(n) {
-				tr, err := monitor.NewTraceReader(bytes.NewReader(wire.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := tr.NewMonitor()
-				for i := 0; i < k; i++ {
-					e, ok, err := tr.Next()
-					if err != nil || !ok {
-						t.Fatalf("seed %d %v k=%d: short trace (i=%d ok=%v err=%v)", seed, format, k, i, ok, err)
-					}
-					m.Step(e)
-				}
-				rck, err := tr.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var snap bytes.Buffer
-				if err := m.SnapshotWithReader(&snap, rck); err != nil {
-					t.Fatal(err)
-				}
-				s, err := monitor.ReadSnapshot(bytes.NewReader(snap.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := s.Reader(); !ok {
-					t.Fatal("snapshot lost its reader continuation")
-				}
-				tr2, err := monitor.NewTraceReader(bytes.NewReader(wire.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Resume(tr2); err != nil {
-					t.Fatalf("seed %d %v k=%d: %v", seed, format, k, err)
-				}
-				m2 := s.Monitor()
-				if err := m2.FeedBatch(tr2); err != nil {
-					t.Fatal(err)
-				}
-				if !race.ReportsEqual(m2.Reports(), ref.Reports()) ||
-					m2.RAStats() != ref.RAStats() || m2.Events() != ref.Events() {
-					t.Fatalf("seed %d %v k=%d: wire resume diverged\ngot  %v %+v %d\nwant %v %+v %d",
-						seed, format, k, m2.Reports(), m2.RAStats(), m2.Events(),
-						ref.Reports(), ref.RAStats(), ref.Events())
-				}
+			var snap bytes.Buffer
+			if err := m.SnapshotWithReader(&snap, rck); err != nil {
+				t.Fatal(err)
+			}
+			s, err := monitor.ReadSnapshot(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Reader(); !ok {
+				t.Fatal("snapshot lost its reader continuation")
+			}
+			tr2, err := monitor.NewTraceReader(bytes.NewReader(wire.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Resume(tr2); err != nil {
+				t.Fatalf("seed %d k=%d: %v", seed, k, err)
+			}
+			m2 := s.Monitor()
+			if err := m2.FeedBatch(tr2); err != nil {
+				t.Fatal(err)
+			}
+			if !race.ReportsEqual(m2.Reports(), ref.Reports()) ||
+				m2.RAStats() != ref.RAStats() || m2.Events() != ref.Events() {
+				t.Fatalf("seed %d k=%d: wire resume diverged\ngot  %v %+v %d\nwant %v %+v %d",
+					seed, k, m2.Reports(), m2.RAStats(), m2.Events(),
+					ref.Reports(), ref.RAStats(), ref.Events())
 			}
 		}
 	}

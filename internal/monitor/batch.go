@@ -1,11 +1,11 @@
 package monitor
 
-// Batched ingestion: the per-event Source interface costs an interface
-// call per event, which at tens of millions of events per second is a
-// measurable slice of the fused generate-and-monitor path. A BatchSource
-// amortises that to one call per batch; the wire-format v2 decoder
-// (whose frames are natural batches), schedgen's batched streaming, and
-// the parallel pipeline all move events this way.
+// Streaming ingestion: the pull side of the monitor. A BatchSource
+// yields events a batch at a time, so a trace can be monitored without
+// ever materialising it, at one call per batch rather than per event;
+// the wire-format decoder (whose frames are natural batches), schedgen's
+// batched streaming, and the parallel pipeline all move events this way.
+// The push side is Step and StepBatch.
 
 // BatchSource is a pull-based stream of monitor events delivered in
 // batches. NextBatch appends the next batch to dst (pass a reusable
@@ -17,7 +17,7 @@ type BatchSource interface {
 }
 
 // StepBatch consumes a batch of events in order — equivalent to calling
-// Step on each, without the per-event call overhead of Feed.
+// Step on each.
 func (m *Monitor) StepBatch(events []Event) {
 	for i := range events {
 		m.Step(events[i])
@@ -48,23 +48,15 @@ func feedBatches(src BatchSource, step func([]Event)) error {
 	}
 }
 
-// feedEvents drains a per-event source into step — the shared pump
-// behind Monitor.Feed and Pipeline.Feed.
-func feedEvents(src Source, step func(Event)) error {
-	for {
-		e, ok, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		step(e)
-	}
+// SliceSource adapts an in-memory event slice to the BatchSource
+// interface.
+type SliceSource struct {
+	Events []Event
+	next   int
 }
 
 // NextBatch yields up to cap(dst) (at least one batch's worth of)
-// remaining slice elements — SliceSource implements BatchSource too.
+// remaining slice elements.
 func (s *SliceSource) NextBatch(dst []Event) ([]Event, bool, error) {
 	if s.next >= len(s.Events) {
 		return dst, false, nil

@@ -39,10 +39,10 @@ package monitor
 //
 // Memory is bounded: payload and event buffers recycle through free
 // queues sized to the ring depths, exactly like the pipeline's record
-// batches. v1 and text traces (and parsers < 2) fall back to the
-// sequential TraceReader transparently. Checkpoint/resume is not
-// supported through the parallel reader — take checkpoints with the
-// sequential reader (racemon does this automatically).
+// batches. Text traces (and parsers < 2) fall back to the sequential
+// TraceReader transparently. Checkpoint/resume is not supported through
+// the parallel reader — take checkpoints with the sequential reader
+// (racemon does this automatically).
 
 import (
 	"encoding/binary"
@@ -118,7 +118,7 @@ type relEvent struct {
 // NewParallelTraceReader and Close it when done (NextBatch closes
 // automatically at end of trace or on error; Close is then a no-op).
 type ParallelTraceReader struct {
-	seq *TraceReader // non-nil: sequential fallback (v1, text, parsers < 2)
+	seq *TraceReader // non-nil: sequential fallback (text, parsers < 2)
 
 	hdr         Header
 	in          *engine.FanRing[parseJob]
@@ -141,9 +141,8 @@ type ParallelTraceReader struct {
 }
 
 // NewParallelTraceReader sniffs and validates the trace header of r and
-// starts parsers decode workers. Traces that are not binary v2 — and
-// parsers < 2 — are handled by a sequential TraceReader behind the same
-// interface.
+// starts parsers decode workers. Text traces — and parsers < 2 — are
+// handled by a sequential TraceReader behind the same interface.
 func NewParallelTraceReader(r io.Reader, parsers int) (*ParallelTraceReader, error) {
 	return NewParallelTraceReaderObs(r, parsers, nil)
 }
@@ -158,7 +157,7 @@ func NewParallelTraceReaderObs(r io.Reader, parsers int, reg *obs.Registry) (*Pa
 	if err != nil {
 		return nil, err
 	}
-	if parsers < 2 || !tr.v2 {
+	if parsers < 2 || tr.text {
 		return &ParallelTraceReader{seq: tr, hdr: tr.hdr}, nil
 	}
 	if parsers > maxParsers {
@@ -462,22 +461,6 @@ func (pr *ParallelTraceReader) resolve(rel []relEvent, ctx *parseCtx) ([]Event, 
 		buf = append(buf, e)
 	}
 	return buf, nil
-}
-
-// MonitorReaderParallel is MonitorReader with parallel frame pre-parse:
-// it runs a fresh sequential monitor over the trace, with decoding
-// spread across parsers workers.
-func MonitorReaderParallel(r io.Reader, parsers int) (*Monitor, error) {
-	pr, err := NewParallelTraceReader(r, parsers)
-	if err != nil {
-		return nil, err
-	}
-	defer pr.Close()
-	m := pr.NewMonitor()
-	if err := m.FeedBatch(pr); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // ReadRacesParallel monitors a wire-format trace with the fully parallel

@@ -78,20 +78,21 @@ func TestParallelParseMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelParseFallsBackForV1: v1 binary traces have no frames to
-// parallelise; the reader must fall back and still decode correctly.
-func TestParallelParseFallsBackForV1(t *testing.T) {
-	hdr, events := wireWorkload()
-	data := encodeAll(t, hdr, events, Binary)
+// TestParallelParseFallsBackForText: text traces have no frames to
+// parallelise; the reader must fall back and still decode correctly,
+// halts included.
+func TestParallelParseFallsBackForText(t *testing.T) {
+	hdr, events := haltWorkload()
+	data := encodeAll(t, hdr, events, Text)
 	pr, err := NewParallelTraceReader(bytes.NewReader(data), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
 	if pr.seq == nil {
-		t.Fatal("v1 trace: expected sequential fallback")
+		t.Fatal("text trace: expected sequential fallback")
 	}
-	eventsEqual(t, decodeVia(t, pr), events, "v1-fallback")
+	eventsEqual(t, decodeVia(t, pr), events, "text-fallback")
 }
 
 // TestParallelParseErrorParity: a corrupted trace must fail through the
@@ -165,11 +166,11 @@ func TestParallelParseEarlyClose(t *testing.T) {
 	pr.Close() // idempotent
 }
 
-// TestMonitorReaderParallelMatchesSequential: the full monitoring result
-// — reports and retention stats — is identical whether the trace was
+// TestParallelFeedMatchesSequential: the full monitoring result —
+// reports and retention stats — is identical whether the trace was
 // decoded sequentially or by the parallel front-end, for both the plain
-// monitor and the sharded pipeline sink.
-func TestMonitorReaderParallelMatchesSequential(t *testing.T) {
+// monitor (fed with FeedBatch) and the sharded pipeline sink.
+func TestParallelFeedMatchesSequential(t *testing.T) {
 	decls, events := syntheticWorkload(4, 16, 2*defaultFrameEvents+321, 11)
 	hdr := Header{Threads: 4, Decls: decls}
 	data := encodeAll(t, hdr, events, BinaryV2)
@@ -179,10 +180,15 @@ func TestMonitorReaderParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parsers := range []int{2, 4} {
-		m, err := MonitorReaderParallel(bytes.NewReader(data), parsers)
+		pr, err := NewParallelTraceReader(bytes.NewReader(data), parsers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := pr.NewMonitor()
+		if err := m.FeedBatch(pr); err != nil {
+			t.Fatal(err)
+		}
+		pr.Close()
 		if !reflect.DeepEqual(m.Reports(), want.Reports()) {
 			t.Fatalf("parsers=%d: reports diverge from sequential decode", parsers)
 		}

@@ -3,7 +3,7 @@ package monitor
 // Checkpoint/resume: the snapshot codec that serialises the COMPLETE
 // live state of a monitor — thread and release clocks, epoch-or-vector
 // per-location last-access state, dedup bitmasks, live RA messages, GC
-// frontier/interval/adaptive bounds, halt set — so monitoring can stop
+// frontier and interval, halt set — so monitoring can stop
 // at any event index and resume later (possibly in another process, or
 // under a different shard/GC configuration) with reports and RAStats
 // byte-identical to a run that never stopped. The format doubles as a
@@ -24,8 +24,9 @@ package monitor
 //	header (1)  uvarint threads, uvarint nlocs,
 //	            nlocs × (uvarint len, name bytes, kind byte) — the wire
 //	            format's header fields, same limits (validateHeader)
-//	sync   (2)  uvarint events, gcEvery, nextGC, adaptMin, adaptMax,
-//	            raPeak, raCollected; halted bitset ⌈threads/8⌉ bytes
+//	sync   (2)  uvarint events, gcEvery, nextGC, two reserved uvarints
+//	            (always 0: the retired adaptive-GC bounds), raPeak,
+//	            raCollected; halted bitset ⌈threads/8⌉ bytes
 //	clocks (3)  threads × threads uvarints (row t = thread t's clock),
 //	            then threads uvarints (cached minimum frontier)
 //	atomic (4)  per ATOMIC location in declaration order:
@@ -51,9 +52,11 @@ package monitor
 //	            byte), mask byte (1 = threads² window dedup masks
 //	            follow); then uvarint window peak, uvarint pruned
 //	reader (7)  OPTIONAL — a TraceReader continuation (see
-//	            ReaderCheckpoint): uvarint byte offset, v2 flag byte,
-//	            varint prevThread, v2 only: threads varints prevLoc +
-//	            nlocs varints prevNum; halted bitset; uvarint pending
+//	            ReaderCheckpoint): uvarint byte offset, flag byte
+//	            (always 1; 0 marked a continuation into a retired
+//	            binary v1 trace and is rejected), varint prevThread,
+//	            threads varints prevLoc + nlocs varints prevNum;
+//	            halted bitset; uvarint pending
 //	            count + pending events (kind byte, uvarint thread,
 //	            uvarint loc, RA kinds: varint num + uvarint den)
 //	end    (0)  empty payload, terminates the snapshot
@@ -96,7 +99,6 @@ import (
 	"time"
 
 	"localdrf/internal/prog"
-	"localdrf/internal/race"
 	"localdrf/internal/ts"
 )
 
@@ -210,10 +212,9 @@ func (s *Snapshot) Monitor() *Monitor { return s.take() }
 // state is routed to the back-end owning it under cfg.Shards — the shard
 // count (and batch size, queue depth) need not match whatever produced
 // the snapshot. A zero GC configuration in cfg means "continue with the
-// snapshot's recorded GC state" (interval, adaptive bounds, and the
-// position of the next sweep — what same-config resume parity needs);
-// a nonzero GCInterval or AdaptiveGCMax overrides it, which is still
-// report-preserving. Single use, like Monitor.
+// snapshot's recorded GC state" (interval and the position of the next
+// sweep — what same-config resume parity needs); a nonzero GCInterval
+// overrides it, which is still report-preserving. Single use, like Monitor.
 func (s *Snapshot) Pipeline(cfg PipelineConfig) *Pipeline {
 	m := s.take()
 	cfg = cfg.withDefaults()
@@ -224,7 +225,7 @@ func (s *Snapshot) Pipeline(cfg PipelineConfig) *Pipeline {
 // Restore decodes a snapshot and returns the restored sequential
 // monitor — the inverse of Monitor.Snapshot. The monitor resumes with
 // the GC configuration the snapshot recorded; callers may override it
-// with SetGCInterval/SetAdaptiveGC (the report set is identical under
+// with SetGCInterval (the report set is identical under
 // any interval schedule, only retention telemetry changes).
 func Restore(r io.Reader) (*Monitor, error) {
 	s, err := ReadSnapshot(r)
@@ -341,8 +342,8 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderC
 	sw.uvarint(m.events)
 	sw.uvarint(m.gcEvery)
 	sw.uvarint(m.nextGC)
-	sw.uvarint(m.adaptMin)
-	sw.uvarint(m.adaptMax)
+	sw.uvarint(0) // reserved: the retired adaptive-GC bounds
+	sw.uvarint(0)
 	sw.uvarint(uint64(m.raPeak))
 	sw.uvarint(m.raCollected)
 	sw.bitset(m.halted, m.nthreads)
@@ -484,19 +485,13 @@ func snapshotTo(w io.Writer, m *Monitor, naAt func(int32) *naState, rck *ReaderC
 
 	if rck != nil {
 		sw.uvarint(uint64(rck.Offset))
-		v2 := byte(0)
-		if rck.V2 {
-			v2 = 1
-		}
-		sw.byte(v2)
+		sw.byte(1) // the binary-format flag; see decodeReader
 		sw.varint(int64(rck.PrevThread))
-		if rck.V2 {
-			for _, v := range rck.PrevLoc {
-				sw.varint(int64(v))
-			}
-			for _, v := range rck.PrevNum {
-				sw.varint(v)
-			}
+		for _, v := range rck.PrevLoc {
+			sw.varint(int64(v))
+		}
+		for _, v := range rck.PrevNum {
+			sw.varint(v)
 		}
 		sw.bitset(rck.Halted, hdr.Threads)
 		sw.uvarint(uint64(len(rck.Pending)))
@@ -557,20 +552,16 @@ func (ck *ReaderCheckpoint) validate(hdr Header) error {
 	if ck.Offset < 0 {
 		return fmt.Errorf("reader checkpoint: negative offset %d", ck.Offset)
 	}
-	if ck.V2 {
-		if len(ck.PrevLoc) != hdr.Threads {
-			return fmt.Errorf("reader checkpoint: prevLoc length %d, want %d threads", len(ck.PrevLoc), hdr.Threads)
+	if len(ck.PrevLoc) != hdr.Threads {
+		return fmt.Errorf("reader checkpoint: prevLoc length %d, want %d threads", len(ck.PrevLoc), hdr.Threads)
+	}
+	if len(ck.PrevNum) != len(hdr.Decls) {
+		return fmt.Errorf("reader checkpoint: prevNum length %d, want %d locations", len(ck.PrevNum), len(hdr.Decls))
+	}
+	for t, l := range ck.PrevLoc {
+		if l < 0 || (int(l) >= len(hdr.Decls) && l != 0) {
+			return fmt.Errorf("reader checkpoint: prevLoc[%d] = %d out of range", t, l)
 		}
-		if len(ck.PrevNum) != len(hdr.Decls) {
-			return fmt.Errorf("reader checkpoint: prevNum length %d, want %d locations", len(ck.PrevNum), len(hdr.Decls))
-		}
-		for t, l := range ck.PrevLoc {
-			if l < 0 || (int(l) >= len(hdr.Decls) && l != 0) {
-				return fmt.Errorf("reader checkpoint: prevLoc[%d] = %d out of range", t, l)
-			}
-		}
-	} else if len(ck.Pending) > 0 {
-		return fmt.Errorf("reader checkpoint: pending events on a non-v2 trace")
 	}
 	if ck.PrevThread < 0 || int(ck.PrevThread) >= hdr.Threads {
 		return fmt.Errorf("reader checkpoint: prevThread %d out of range [0,%d)", ck.PrevThread, hdr.Threads)
@@ -929,18 +920,16 @@ func (d *snapDecoder) decodeSync(m *Monitor) error {
 	if m.nextGC, err = c.uvarint("nextGC"); err != nil {
 		return err
 	}
-	if m.adaptMin, err = c.uvarint("adaptMin"); err != nil {
-		return err
-	}
-	if m.adaptMax, err = c.uvarint("adaptMax"); err != nil {
-		return err
-	}
-	if m.adaptMax > 0 && (m.adaptMin == 0 || m.adaptMin > m.adaptMax ||
-		m.gcEvery < m.adaptMin || m.gcEvery > m.adaptMax) {
-		return c.errf("adaptive bounds [%d,%d] do not contain interval %d", m.adaptMin, m.adaptMax, m.gcEvery)
-	}
-	if m.adaptMax == 0 && m.adaptMin != 0 {
-		return c.errf("adaptMin %d without adaptMax", m.adaptMin)
+	// Two reserved slots, written as 0: they held the bounds of the
+	// retired adaptive GC, which no snapshot can resume any more.
+	for _, what := range []string{"adaptMin", "adaptMax"} {
+		v, err := c.uvarint(what)
+		if err != nil {
+			return err
+		}
+		if v != 0 {
+			return c.errf("%s %d: adaptive GC is no longer supported", what, v)
+		}
 	}
 	peak, err := c.uvarint("raPeak")
 	if err != nil {
@@ -1286,14 +1275,20 @@ func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
 	if off > uint64(math.MaxInt64) {
 		return nil, c.errf("offset %d out of range", off)
 	}
-	v2b, err := c.byte("v2 flag")
+	// The flag byte told v2 continuations (1) from v1 ones (0); binary
+	// wire v1 is retired, so only 1 remains valid.
+	flag, err := c.byte("binary-format flag")
 	if err != nil {
 		return nil, err
 	}
-	if v2b > 1 {
-		return nil, c.errf("v2 flag %d not 0 or 1", v2b)
+	switch flag {
+	case 1:
+	case 0:
+		return nil, c.errf("continuation into a binary wire v1 trace, which is no longer supported")
+	default:
+		return nil, c.errf("binary-format flag %d not 1", flag)
 	}
-	rck := &ReaderCheckpoint{Offset: int64(off), V2: v2b == 1}
+	rck := &ReaderCheckpoint{Offset: int64(off)}
 	prevThread, err := c.varint("prevThread")
 	if err != nil {
 		return nil, err
@@ -1302,23 +1297,21 @@ func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
 		return nil, c.errf("prevThread %d out of range [0,%d)", prevThread, hdr.Threads)
 	}
 	rck.PrevThread = int32(prevThread)
-	if rck.V2 {
-		rck.PrevLoc = make([]int32, hdr.Threads)
-		for t := range rck.PrevLoc {
-			v, err := c.varint("prevLoc")
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 || (v >= int64(len(hdr.Decls)) && v != 0) {
-				return nil, c.errf("prevLoc[%d] = %d out of range", t, v)
-			}
-			rck.PrevLoc[t] = int32(v)
+	rck.PrevLoc = make([]int32, hdr.Threads)
+	for t := range rck.PrevLoc {
+		v, err := c.varint("prevLoc")
+		if err != nil {
+			return nil, err
 		}
-		rck.PrevNum = make([]int64, len(hdr.Decls))
-		for l := range rck.PrevNum {
-			if rck.PrevNum[l], err = c.varint("prevNum"); err != nil {
-				return nil, err
-			}
+		if v < 0 || (v >= int64(len(hdr.Decls)) && v != 0) {
+			return nil, c.errf("prevLoc[%d] = %d out of range", t, v)
+		}
+		rck.PrevLoc[t] = int32(v)
+	}
+	rck.PrevNum = make([]int64, len(hdr.Decls))
+	for l := range rck.PrevNum {
+		if rck.PrevNum[l], err = c.varint("prevNum"); err != nil {
+			return nil, err
 		}
 	}
 	if rck.Halted, err = c.bitset(hdr.Threads, "halted"); err != nil {
@@ -1380,16 +1373,4 @@ func decodeReader(c *snapCursor, hdr Header) (*ReaderCheckpoint, error) {
 		return nil, fmt.Errorf("monitor: snapshot reader section: %w", err)
 	}
 	return rck, nil
-}
-
-// ---- Convenience ----
-
-// SnapshotRaces is a debugging aid: the reports a restored monitor would
-// produce if the stream ended at the checkpoint.
-func SnapshotRaces(r io.Reader) ([]race.Report, error) {
-	m, err := Restore(r)
-	if err != nil {
-		return nil, err
-	}
-	return m.Reports(), nil
 }

@@ -127,36 +127,6 @@ func TestSnapshotHaltedThreads(t *testing.T) {
 	}
 }
 
-// TestSnapshotAdaptiveGC: the adaptive controller's full state (current
-// interval, bounds, next sweep) survives the round trip, so the restored
-// run sweeps at exactly the positions the unsplit run would.
-func TestSnapshotAdaptiveGC(t *testing.T) {
-	decls, events := raWorkload(5, 12, 40_000, 17)
-	ref := New(5, decls)
-	ref.SetAdaptiveGC(16, 4096)
-	wantReports, wantStats, _ := finish(ref, events)
-	for _, k := range []int{500, 20_000} {
-		m := New(5, decls)
-		m.SetAdaptiveGC(16, 4096)
-		m.StepBatch(events[:k])
-		var buf bytes.Buffer
-		if err := m.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := Restore(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, _ := finish(restored, events[k:])
-		if !race.ReportsEqual(got, wantReports) {
-			t.Fatalf("k=%d: reports diverged", k)
-		}
-		if stats != wantStats {
-			t.Fatalf("k=%d: RA stats %+v, want %+v (adaptive state lost?)", k, stats, wantStats)
-		}
-	}
-}
-
 // TestPipelineSnapshotByteParity: a pipeline snapshot is byte-identical
 // to the sequential monitor's at the same stream position and GC
 // configuration, at any shard count and at a mid-stream quiesce — the
@@ -275,10 +245,10 @@ func encodeStream(t *testing.T, hdr Header, events []Event, format Format) []byt
 // TestReaderCheckpointResume: ingest k events from a trace, snapshot the
 // monitor (with or without the reader continuation), then reopen the
 // trace, position it with Snapshot.Resume and finish — reports and stats
-// must equal a one-shot ingest. The continuation rows cover v1
-// (per-event offsets) and v2 (frame offsets with mid-frame pending
-// events), at split points inside and at frame boundaries; the by-count
-// rows skip the monitored prefix in binary and text traces. Resume runs
+// must equal a one-shot ingest. The continuation row covers frame
+// offsets with mid-frame pending events, at split points inside and at
+// frame boundaries; the by-count rows skip the monitored prefix in
+// binary and text traces. Resume runs
 // after the monitor has been handed over, as racemond does. A trace with
 // another header, or one ending inside the monitored prefix, must be
 // refused.
@@ -298,7 +268,6 @@ func TestReaderCheckpointResume(t *testing.T) {
 		resumeOver []byte // the trace Resume positions (nil: the same trace)
 		wantErr    string
 	}{
-		{name: "v1 continuation", format: Binary, withReader: true, splits: splits},
 		{name: "v2 continuation", format: BinaryV2, withReader: true, splits: splits},
 		{name: "v2 by count", format: BinaryV2, splits: splits},
 		{name: "text by count", format: Text, splits: splits},
@@ -464,30 +433,28 @@ func TestReaderCheckpointText(t *testing.T) {
 	}
 }
 
-// TestReaderResumeValidation: version mismatches, in-header offsets and
-// over-long offsets are rejected.
+// TestReaderResumeValidation: malformed delta contexts, in-header
+// offsets and over-long offsets are rejected.
 func TestReaderResumeValidation(t *testing.T) {
 	decls, events := raWorkload(3, 6, 200, 7)
 	hdr := Header{Threads: 3, Decls: decls}
-	v1 := encodeStream(t, hdr, events, Binary)
-	v2 := encodeStream(t, hdr, events, BinaryV2)
+	data := encodeStream(t, hdr, events, BinaryV2)
 
-	trV1, _ := NewTraceReader(bytes.NewReader(v1))
-	ckV1, err := trV1.Checkpoint()
+	tr, _ := NewTraceReader(bytes.NewReader(data))
+	ck, err := tr.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	trV2, _ := NewTraceReader(bytes.NewReader(v2))
-	if err := trV2.Resume(ckV1); err == nil {
-		t.Fatal("v2 reader accepted a v1 checkpoint")
-	}
-	tr, _ := NewTraceReader(bytes.NewReader(v1))
-	if err := tr.Resume(ReaderCheckpoint{Offset: 1}); err == nil {
-		t.Fatal("offset inside the header accepted")
-	}
-	tr, _ = NewTraceReader(bytes.NewReader(v1))
-	if err := tr.Resume(ReaderCheckpoint{Offset: int64(len(v1)) + 100}); err == nil {
-		t.Fatal("offset beyond the trace accepted")
+	for name, bad := range map[string]ReaderCheckpoint{
+		"prevLoc missing":          {Offset: ck.Offset, PrevNum: ck.PrevNum},
+		"prevNum missing":          {Offset: ck.Offset, PrevLoc: ck.PrevLoc},
+		"offset inside the header": {Offset: 1, PrevLoc: ck.PrevLoc, PrevNum: ck.PrevNum},
+		"offset beyond the trace":  {Offset: int64(len(data)) + 100, PrevLoc: ck.PrevLoc, PrevNum: ck.PrevNum},
+	} {
+		tr, _ := NewTraceReader(bytes.NewReader(data))
+		if err := tr.Resume(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -619,6 +586,18 @@ func TestRestoreValidates(t *testing.T) {
 			sy = append(sy, 0)
 			s[snapTagSync] = sy
 		}},
+		{"adaptive-GC bounds set", func(s map[byte][]byte) {
+			var sy []byte
+			sy = appendUvarint(sy, 10)
+			sy = appendUvarint(sy, 64)
+			sy = appendUvarint(sy, 74)
+			sy = appendUvarint(sy, 16)   // adaptMin: a retired feature
+			sy = appendUvarint(sy, 4096) // adaptMax
+			sy = appendUvarint(sy, 0)
+			sy = appendUvarint(sy, 0)
+			sy = append(sy, 0)
+			s[snapTagSync] = sy
+		}},
 		{"halted bitset ghost bits", func(s map[byte][]byte) {
 			sy := bytes.Clone(s[snapTagSync])
 			sy[len(sy)-1] = 0x80 // bit 7 of a 1-thread set
@@ -630,7 +609,7 @@ func TestRestoreValidates(t *testing.T) {
 		{"reader post-halt pending", func(s map[byte][]byte) {
 			var rd []byte
 			rd = appendUvarint(rd, 100)   // offset
-			rd = append(rd, 1)            // v2
+			rd = append(rd, 1)            // binary-format flag
 			rd = appendVarint(rd, 0)      // prevThread
 			rd = appendVarint(rd, 0)      // prevLoc[0]
 			rd = appendVarint(rd, 0)      // prevNum[0]
@@ -672,6 +651,32 @@ func TestRestoreValidates(t *testing.T) {
 	bad[4] = 9
 	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
 		t.Error("unknown version accepted")
+	}
+}
+
+// TestSnapshotRejectsV1Continuation: a reader section whose format flag
+// is 0 — a continuation into a binary wire v1 trace — is refused with an
+// error that names v1, while the same section with flag 1 restores.
+func TestSnapshotRejectsV1Continuation(t *testing.T) {
+	withFlag := func(flag byte) []byte {
+		return minimalSnapshot(func(s map[byte][]byte) {
+			var rd []byte
+			rd = appendUvarint(rd, 100) // offset
+			rd = append(rd, flag)
+			rd = appendVarint(rd, 0)  // prevThread
+			rd = appendVarint(rd, 0)  // prevLoc[0]
+			rd = appendVarint(rd, 0)  // prevNum[0]
+			rd = append(rd, 0)        // halted: none
+			rd = appendUvarint(rd, 0) // no pending events
+			s[snapTagReader] = rd
+		})
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(withFlag(1))); err != nil {
+		t.Fatalf("flag 1 reader section rejected: %v", err)
+	}
+	_, err := ReadSnapshot(bytes.NewReader(withFlag(0)))
+	if err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("flag 0 reader section: err = %v, want an error naming v1", err)
 	}
 }
 

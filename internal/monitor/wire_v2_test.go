@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"localdrf/internal/prog"
@@ -22,8 +24,9 @@ func haltWorkload() (Header, []Event) {
 }
 
 // TestWireV2RoundTrip: encode → decode through the delta-compressed v2
-// format reproduces the header and every event (including halts and RA
-// timestamps) exactly, via both Next and NextBatch.
+// format reproduces the header and every encoded event (kinds, threads,
+// locations, halts and RA timestamps) exactly, via both Next and
+// NextBatch.
 func TestWireV2RoundTrip(t *testing.T) {
 	hdr, events := haltWorkload()
 	data := encodeAll(t, hdr, events, BinaryV2)
@@ -60,21 +63,7 @@ func TestWireV2RoundTrip(t *testing.T) {
 				decoded = append(decoded, e)
 			}
 		}
-		if len(decoded) != len(events) {
-			t.Fatalf("batched=%v: decoded %d events, want %d", batched, len(decoded), len(events))
-		}
-		for i, want := range events {
-			e := decoded[i]
-			if e.Thread != want.Thread || e.Kind != want.Kind {
-				t.Fatalf("batched=%v: event %d: got %+v, want %+v", batched, i, e, want)
-			}
-			if want.Kind != KindHalt && e.Loc != want.Loc {
-				t.Fatalf("batched=%v: event %d: loc %d, want %d", batched, i, e.Loc, want.Loc)
-			}
-			if (want.Kind == ReadRA || want.Kind == WriteRA) && !e.Time.Equal(want.Time) {
-				t.Fatalf("batched=%v: event %d: timestamp %v, want %v", batched, i, e.Time, want.Time)
-			}
-		}
+		eventsEqual(t, decoded, events, fmt.Sprintf("batched=%v", batched))
 	}
 }
 
@@ -149,59 +138,31 @@ func TestWireV2MonitorParity(t *testing.T) {
 	}
 }
 
-// TestWireV2SemanticsMatchV1: a halt-free stream encodes to both
-// versions and decodes to identical event sequences — v2 is a pure
-// compression of v1's semantics.
+// TestWireV2SemanticsMatchV1: a halt-free stream — the only shape the
+// retired v1 format could carry — decodes through v2 and through text to
+// exactly the encoded events, so dropping v1 lost no expressible trace.
 func TestWireV2SemanticsMatchV1(t *testing.T) {
 	hdr, events := wireWorkload()
-	decode := func(data []byte) []Event {
-		tr, err := NewTraceReader(bytes.NewReader(data))
+	for _, format := range []Format{BinaryV2, Text} {
+		tr, err := NewTraceReader(bytes.NewReader(encodeAll(t, hdr, events, format)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []Event
-		for {
-			e, ok, err := tr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return out
-			}
-			out = append(out, e)
-		}
-	}
-	v1 := decode(encodeAll(t, hdr, events, Binary))
-	v2 := decode(encodeAll(t, hdr, events, BinaryV2))
-	if len(v1) != len(v2) {
-		t.Fatalf("v1 decoded %d events, v2 %d", len(v1), len(v2))
-	}
-	for i := range v1 {
-		if v1[i].Thread != v2[i].Thread || v1[i].Loc != v2[i].Loc || v1[i].Kind != v2[i].Kind || !v1[i].Time.Equal(v2[i].Time) {
-			t.Fatalf("event %d: v1 %+v, v2 %+v", i, v1[i], v2[i])
-		}
+		eventsEqual(t, decodeVia(t, tr), events, fmt.Sprintf("format %v", format))
 	}
 }
 
 // TestWireV2Rejects: the v2 decoder errors (never panics) on every
-// malformed-frame class, and the frozen v1 grammar rejects what only v2
-// can carry.
+// malformed-frame class.
 func TestWireV2Rejects(t *testing.T) {
 	hdr, events := haltWorkload()
 	v2 := encodeAll(t, hdr, events, BinaryV2)
 	hdrOnly := encodeAll(t, hdr, nil, BinaryV2)
 
-	// Header downgrade v2 → v1: same bytes with the version byte flipped
-	// claim to be a v1 trace; the frames are then parsed as v1 events and
-	// must produce an error, not a panic or bogus events.
-	downgrade := append([]byte{}, v2...)
-	downgrade[4] = 1
-
 	cases := []struct {
 		name string
 		data []byte
 	}{
-		{"downgraded v2 frames parsed as v1", downgrade},
 		{"future version", func() []byte {
 			b := append([]byte{}, v2...)
 			b[4] = 3
@@ -246,23 +207,6 @@ func TestWireV2Rejects(t *testing.T) {
 		}
 	}
 
-	// The frozen v1 side of negotiation: a halt event cannot be written
-	// to a v1 binary trace, and a kind byte of 6 in a v1 body is
-	// rejected.
-	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, hdr, Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Write(Event{Thread: 0, Kind: KindHalt}); err == nil {
-		t.Error("v1 writer accepted a halt event")
-	}
-	v1hdr := encodeAll(t, hdr, nil, Binary)
-	bogus := append(append([]byte{}, v1hdr...), byte(KindHalt), 0x00, 0x00)
-	if _, err := ReadRaces(bytes.NewReader(bogus)); err == nil {
-		t.Error("v1 decoder accepted kind byte 6")
-	}
-
 	// The encoder enforces the halt promise too, in every halt-capable
 	// format: no event after a thread's halt, no double halt.
 	for _, format := range []Format{BinaryV2, Text} {
@@ -283,6 +227,22 @@ func TestWireV2Rejects(t *testing.T) {
 		if err := htw.Write(Event{Thread: 0, Loc: 0, Kind: WriteNA}); err != nil {
 			t.Errorf("%v writer rejected an unrelated thread after a halt: %v", format, err)
 		}
+	}
+}
+
+// TestWireRejectsV1: a binary header carrying version byte 1 — the
+// retired per-event encoding — fails at the header with an error that
+// names v1, whatever follows it.
+func TestWireRejectsV1(t *testing.T) {
+	hdr, events := wireWorkload()
+	data := encodeAll(t, hdr, events, BinaryV2)
+	data[len(binaryMagic)] = 1
+	_, err := NewTraceReader(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("v1 header: err = %v, want an error naming v1", err)
+	}
+	if _, err := NewParallelTraceReader(bytes.NewReader(data), 4); err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("v1 header through the parallel reader: err = %v, want an error naming v1", err)
 	}
 }
 

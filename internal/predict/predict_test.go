@@ -140,8 +140,8 @@ func subset(a, b []race.Report) bool {
 
 // FuzzPredict decodes an arbitrary wire-format trace and cross-checks
 // the streaming monitor against the reference decider for the syncp and
-// short:k predicates. Seeds are real corpus traces in both binary
-// formats.
+// short:k predicates. Seeds are real corpus traces in both wire
+// encodings, binary v2 (with halts) and text.
 func FuzzPredict(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := progsynth.ScaledConfig{
@@ -151,7 +151,7 @@ func FuzzPredict(f *testing.F) {
 		}
 		p := progsynth.Scaled(seed, cfg)
 		tb := monitor.NewTable(p)
-		for _, format := range []monitor.Format{monitor.Binary, monitor.BinaryV2} {
+		for _, format := range []monitor.Format{monitor.Text, monitor.BinaryV2} {
 			var buf bytes.Buffer
 			opt := schedgen.Options{
 				Policy: schedgen.Bursty, Seed: seed, MaxEvents: 300,

@@ -224,7 +224,7 @@ func Generate(p *prog.Program, tb *monitor.Table, opt Options, dst []monitor.Eve
 }
 
 // Encode generates a schedule and writes it to w in the wire format
-// (monitor.Binary or monitor.Text) without ever materialising the event
+// (monitor.BinaryV2 or monitor.Text) without ever materialising the event
 // slice — generate-and-encode in O(locations + threads) live memory. It
 // returns the number of events written and whether the program ran to
 // completion before MaxEvents.

@@ -2,6 +2,7 @@ package schedgen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -163,7 +164,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 		m.Step(e)
 	}
 	want := m.Reports()
-	for _, format := range []monitor.Format{monitor.Binary, monitor.Text} {
+	for _, format := range []monitor.Format{monitor.BinaryV2, monitor.Text} {
 		var buf bytes.Buffer
 		n, _, err := Encode(&buf, p, tb, opt, format)
 		if err != nil {
@@ -354,36 +355,50 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 
 // TestWireV2SmallerThanV1 is the wire-format acceptance bar: on the
 // schedgen smoke stream (the CI racemon workload), the delta-compressed
-// v2 encoding is at least 1.5× smaller than v1, and both decode to the
-// same report set.
+// v2 encoding is at least 1.5× smaller than the retired per-event v1
+// encoding would be, and decodes to the report set of the generated
+// events. The v1 size is computed from its grammar: the same header,
+// then per event a kind byte, uvarint thread, uvarint location and, for
+// RA kinds, varint numerator + uvarint denominator.
 func TestWireV2SmallerThanV1(t *testing.T) {
 	cfg := progsynth.ScaledDefaults()
 	cfg.Iters = cfg.IterationsFor(250_000)
 	p := progsynth.Scaled(1, cfg)
 	tb := monitor.NewTable(p)
 	opt := Options{Policy: Bursty, Seed: 1, MaxEvents: 250_000, StaleReadPct: 10}
-	var v1, v2 bytes.Buffer
-	if _, _, err := Encode(&v1, p, tb, opt, monitor.Binary); err != nil {
+	events, _, err := Generate(p, tb, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr, v2 bytes.Buffer
+	if _, err := monitor.NewTraceWriter(&hdr, monitor.Header{Threads: tb.Threads(), Decls: tb.Decls()}, monitor.BinaryV2); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Encode(&v2, p, tb, opt, monitor.BinaryV2); err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(v1.Len()) / float64(v2.Len())
-	t.Logf("v1=%d bytes, v2=%d bytes, ratio=%.3f", v1.Len(), v2.Len(), ratio)
+	var tmp [binary.MaxVarintLen64]byte
+	v1 := hdr.Len()
+	for _, e := range events {
+		v1 += 1 + binary.PutUvarint(tmp[:], uint64(e.Thread)) + binary.PutUvarint(tmp[:], uint64(e.Loc))
+		if e.Kind == monitor.ReadRA || e.Kind == monitor.WriteRA {
+			num, den := e.Time.Fraction()
+			v1 += binary.PutVarint(tmp[:], num) + binary.PutUvarint(tmp[:], uint64(den))
+		}
+	}
+	ratio := float64(v1) / float64(v2.Len())
+	t.Logf("v1=%d bytes, v2=%d bytes, ratio=%.3f", v1, v2.Len(), ratio)
 	if ratio < 1.5 {
 		t.Fatalf("v2 is only %.3f× smaller than v1, want ≥ 1.5×", ratio)
 	}
-	r1, err := monitor.ReadRaces(bytes.NewReader(v1.Bytes()))
+	m := monitor.New(tb.Threads(), tb.Decls())
+	m.StepBatch(events)
+	got, err := monitor.ReadRaces(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := monitor.ReadRaces(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !race.ReportsEqual(r1, r2) {
-		t.Fatal("v1 and v2 decoded streams report different races")
+	if !race.ReportsEqual(got, m.Reports()) {
+		t.Fatal("the v2 decoded stream reports different races than the generated events")
 	}
 }
 

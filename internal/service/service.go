@@ -60,11 +60,12 @@ type Config struct {
 	// events (default 100000; requires CheckpointDir).
 	CheckpointEvery uint64
 	// CheckpointRing is how many snapshot generations each session
-	// keeps (default 3). Recovery falls back entry by entry past
+	// keeps (default 3; values ≤ 0 mean the default). Recovery falls back entry by entry past
 	// corrupt files, so more generations tolerate more torn writes.
 	CheckpointRing int
 	// MaxSessions caps concurrently attached sessions; excess
-	// admissions are shed with "busy retry-after" (default 64).
+	// admissions are shed with "busy retry-after" (default 64; values
+	// ≤ 0 mean the default).
 	MaxSessions int
 	// Shards > 1 monitors each session through a sharded Pipeline
 	// instead of a sequential Monitor (default 1). Reports are
@@ -72,14 +73,15 @@ type Config struct {
 	// per-session throughput.
 	Shards int
 	// ReadTimeout bounds every read from a client connection — the
-	// slow-loris defence (default 10s; 0 disables).
+	// slow-loris defence (default 10s; values ≤ 0 mean the default, so
+	// the bound cannot be switched off).
 	ReadTimeout time.Duration
 	// IdleTimeout evicts the in-memory bookkeeping of detached
-	// sessions (default 5m). The on-disk ring survives eviction; a
+	// sessions (default 5m; values ≤ 0 mean the default). The on-disk ring survives eviction; a
 	// later resume recovers from it.
 	IdleTimeout time.Duration
 	// RetryAfter is the backoff hint sent with "busy" rejections
-	// (default 1s).
+	// (default 1s; values ≤ 0 mean the default).
 	RetryAfter time.Duration
 	// Limits caps what an untrusted trace header/frame may demand
 	// (zero value: 1 MiB header budget, format-cap frames).
@@ -95,22 +97,22 @@ func (cfg Config) withDefaults() Config {
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 100_000
 	}
-	if cfg.CheckpointRing == 0 {
+	if cfg.CheckpointRing <= 0 {
 		cfg.CheckpointRing = 3
 	}
-	if cfg.MaxSessions == 0 {
+	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 64
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	if cfg.ReadTimeout == 0 {
+	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 10 * time.Second
 	}
-	if cfg.IdleTimeout == 0 {
+	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	if cfg.RetryAfter == 0 {
+	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
 	if cfg.Limits == (monitor.ReaderLimits{}) {
@@ -440,9 +442,7 @@ type deadlineReader struct {
 }
 
 func (d *deadlineReader) Read(p []byte) (int, error) {
-	if d.timeout > 0 {
-		d.conn.SetReadDeadline(time.Now().Add(d.timeout))
-	}
+	d.conn.SetReadDeadline(time.Now().Add(d.timeout))
 	n, err := d.conn.Read(p)
 	d.bytes.Add(uint64(n))
 	return n, err

@@ -221,6 +221,25 @@ func TestServiceSheds(t *testing.T) {
 	mustMatch(t, res, want)
 }
 
+// TestServiceConfigDefaults: zero and negative values of the counted and
+// timed settings mean the default, never "off" — a negative ReadTimeout
+// cannot switch off the slow-loris deadline and a negative MaxSessions
+// cannot shed every session.
+func TestServiceConfigDefaults(t *testing.T) {
+	want := Config{}.withDefaults()
+	if want.ReadTimeout <= 0 || want.MaxSessions <= 0 || want.CheckpointRing <= 0 ||
+		want.IdleTimeout <= 0 || want.RetryAfter <= 0 {
+		t.Fatalf("zero Config defaults not positive: %+v", want)
+	}
+	got := Config{MaxSessions: -1, ReadTimeout: -time.Second, IdleTimeout: -1,
+		RetryAfter: -time.Millisecond, CheckpointRing: -3}.withDefaults()
+	if got.MaxSessions != want.MaxSessions || got.ReadTimeout != want.ReadTimeout ||
+		got.IdleTimeout != want.IdleTimeout || got.RetryAfter != want.RetryAfter ||
+		got.CheckpointRing != want.CheckpointRing {
+		t.Fatalf("negative settings: got %+v, want the defaults %+v", got, want)
+	}
+}
+
 // TestServiceSlowLoris: a client that stalls mid-upload is cut off by
 // the per-read deadline rather than pinning a session slot forever.
 func TestServiceSlowLoris(t *testing.T) {
